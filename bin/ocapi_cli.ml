@@ -793,11 +793,12 @@ let serve_cmd =
     let requests =
       match manifest with
       | None -> Ok []
-      | Some path -> Ocapi_service.read_manifest path
+      | Some path ->
+        Result.map_error (Printf.sprintf "%s: %s" path) (Ocapi_service.read_manifest path)
     in
     match requests with
     | Error e ->
-      Printf.eprintf "manifest: %s\n" e;
+      Printf.eprintf "manifest %s\n" e;
       1
     | Ok requests ->
       if events_out <> None then begin

@@ -1,18 +1,20 @@
-(* The batch campaign service: a priority job queue over a persistent
-   [Ocapi_parallel.Service] domain pool, with job dedup through
-   [Flow.Cache] digests and an async artifact writer thread.
+(* The in-process executor of the campaign core: an
+   [Ocapi_parallel.Service] domain pool, per-handle timeouts and
+   cancellation, and an async artifact writer thread.  Queue order,
+   dedup and lifecycle events are [Ocapi_campaign]'s.
 
    Concurrency map:
-   - one service mutex guards the queues, the in-flight and completed
-     tables, handle/exec state and the counters; [bt_work] wakes
-     workers, [bt_done] wakes awaiters;
+   - one service mutex guards the core state, the executions and their
+     handles; [bt_work] wakes workers, [bt_done] wakes awaiters;
    - worker domains run [pull] and the job bodies; jobs touch only the
      system built for their own execution, so no design state crosses
      domains;
    - the writer is a systhread of the creating domain with its own
      mutex/condition; workers hand it (path, bytes) pairs and never
      block on the disk;
-   - event callbacks fire outside every lock. *)
+   - events and callbacks fire outside every lock. *)
+
+module Json = Ocapi_obs.Json
 
 (* --- design registry ------------------------------------------------------ *)
 
@@ -45,7 +47,7 @@ let find_design name =
 
 (* --- jobs ----------------------------------------------------------------- *)
 
-type priority = High | Normal | Low
+type priority = Ocapi_campaign.priority = High | Normal | Low
 
 type job =
   | Simulate of {
@@ -97,24 +99,16 @@ type event =
   | Ev_started of { ev_label : string; ev_corr : string }
   | Ev_finished of { ev_label : string; ev_corr : string; ev_outcome : outcome }
 
-(* The correlation id is a short digest of the dedup key: deterministic
-   for a given job (identical across serial and parallel runs, and
-   across processes), shared by every event of one execution, and passed
-   to [Flow.simulate ~corr] so the run's trace span carries it too. *)
-let corr_of_key key = String.sub (Digest.to_hex (Digest.string key)) 0 12
-
 (* --- the async artifact writer -------------------------------------------- *)
 
 (* A plain systhread: workers enqueue (path, bytes) and move on; the
-   writer owns all file I/O.  Files land atomically (temp + rename) so
-   a concurrent reader — the CI determinism gate diffing artifact
-   trees — never sees a half-written report.  [wr_busy] covers the
-   window between pop and rename, so [flush] really means "on disk". *)
+   writer owns all file I/O.  Files land atomically, so a concurrent
+   reader — the CI determinism gate diffing artifact trees — never sees
+   a half-written report.  Stopping drains the queue first. *)
 type writer = {
   wr_mutex : Mutex.t;
   wr_cond : Condition.t;
   wr_queue : (string * string) Queue.t;
-  mutable wr_busy : bool;
   mutable wr_stop : bool;
   mutable wr_written : int;
   mutable wr_thread : Thread.t option;
@@ -129,21 +123,9 @@ let writer_loop w () =
     if Queue.is_empty w.wr_queue then Mutex.unlock w.wr_mutex
     else begin
       let path, data = Queue.pop w.wr_queue in
-      w.wr_busy <- true;
       Mutex.unlock w.wr_mutex;
-      (try
-         let tmp = path ^ ".tmp" in
-         let oc = open_out_bin tmp in
-         Fun.protect
-           ~finally:(fun () -> close_out_noerr oc)
-           (fun () -> output_string oc data);
-         Sys.rename tmp path
-       with Sys_error _ -> ());
-      Mutex.lock w.wr_mutex;
-      w.wr_busy <- false;
-      w.wr_written <- w.wr_written + 1;
-      Condition.broadcast w.wr_cond;
-      Mutex.unlock w.wr_mutex;
+      (try Ocapi_obs.write_file_atomic ~path data with Sys_error _ -> ());
+      Mutex.protect w.wr_mutex (fun () -> w.wr_written <- w.wr_written + 1);
       loop ()
     end
   in
@@ -155,7 +137,6 @@ let writer_start () =
       wr_mutex = Mutex.create ();
       wr_cond = Condition.create ();
       wr_queue = Queue.create ();
-      wr_busy = false;
       wr_stop = false;
       wr_written = 0;
       wr_thread = None;
@@ -169,32 +150,26 @@ let writer_push w path data =
       Queue.push (path, data) w.wr_queue;
       Condition.broadcast w.wr_cond)
 
-let writer_flush w =
-  Mutex.protect w.wr_mutex (fun () ->
-      while not (Queue.is_empty w.wr_queue) || w.wr_busy do
-        Condition.wait w.wr_cond w.wr_mutex
-      done)
-
 let writer_stop w =
   Mutex.protect w.wr_mutex (fun () ->
       w.wr_stop <- true;
       Condition.broadcast w.wr_cond);
-  match w.wr_thread with
-  | Some th ->
-    Thread.join th;
-    w.wr_thread <- None
-  | None -> ()
+  Option.iter Thread.join w.wr_thread;
+  w.wr_thread <- None
 
 (* --- service state -------------------------------------------------------- *)
 
+(* An execution: what runs behind one of the core's jobs, and the
+   handles waiting on it.  The core decides; this holds the closure and
+   the outcome. *)
 type exec = {
-  ex_key : string;
+  ex_corr : string;
   ex_label : string;
-  ex_run : progress:(unit -> unit) -> Ocapi_obs.Json.t;
-  ex_priority : priority;
+  ex_artifact_file : string;
+  mutable ex_run : (progress:(unit -> unit) -> Json.t) option;
+      (* dropped on resolution, releasing the built design *)
   ex_submitted : float;
-  ex_artifact : string option;
-  mutable ex_status : status;
+  mutable ex_outcome : outcome option;
   mutable ex_handles : handle list;
   mutable ex_queue_seconds : float;
 }
@@ -225,61 +200,29 @@ type t = {
   bt_mutex : Mutex.t;
   bt_work : Condition.t;
   bt_done : Condition.t;
-  bt_queues : exec Queue.t array;  (* indexed High = 0, Normal = 1, Low = 2 *)
-  bt_inflight : (string, exec) Hashtbl.t;
-  bt_completed : (string, outcome) Hashtbl.t;
+  mutable bt_core : Ocapi_campaign.t;
+  bt_execs : (string, exec) Hashtbl.t;  (* by correlation id *)
   bt_artifact_dir : string option;
   bt_writer : writer option;
   bt_on_event : (event -> unit) option;
   mutable bt_pool : Ocapi_parallel.Service.t option;
   mutable bt_shutdown : bool;
-  mutable bt_submitted : int;
-  mutable bt_deduped : int;
-  mutable bt_executed : int;
-  mutable bt_completed_n : int;
-  mutable bt_failed : int;
-  mutable bt_timed_out : int;
-  mutable bt_cancelled : int;
 }
 
-let queue_index = function High -> 0 | Normal -> 1 | Low -> 2
 let locked t f = Mutex.protect t.bt_mutex f
 
-(* Mirror a lifecycle event into the structured event log (a no-op
-   while [Ocapi_obs.Events] is disabled). *)
-let event_to_log ev =
-  let label l = ("label", Ocapi_obs.Json.String l) in
-  match ev with
-  | Ev_submitted { ev_label; ev_corr; ev_dedup } ->
-    Ocapi_obs.Events.emit ~corr:ev_corr ~fields:[ label ev_label ]
-      (if ev_dedup then "job_deduped" else "job_submitted")
-  | Ev_started { ev_label; ev_corr } ->
-    Ocapi_obs.Events.emit ~corr:ev_corr ~fields:[ label ev_label ]
-      "job_started"
-  | Ev_finished { ev_label; ev_corr; ev_outcome } ->
-    let kind, extra =
-      match ev_outcome with
-      | Completed _ -> ("job_completed", [])
-      | Failed d ->
-        ( "job_failed",
-          [
-            ( "code",
-              Ocapi_obs.Json.String (Ocapi_error.code_label d.Ocapi_error.e_code)
-            );
-          ] )
-      | Cancelled -> ("job_cancelled", [])
-    in
-    Ocapi_obs.Events.emit ~corr:ev_corr ~fields:(label ev_label :: extra) kind
+(* Apply a transition (lock held); the result is fired once the lock is
+   released. *)
+let step t entry ev =
+  t.bt_core <- Ocapi_campaign.apply t.bt_core ~now:(Unix.gettimeofday ()) entry;
+  (t.bt_core, entry, ev)
 
-let fire t events =
-  let events = List.rev events in
-  if Ocapi_obs.Events.enabled () then List.iter event_to_log events;
-  match t.bt_on_event with
-  | None -> ()
-  | Some f -> List.iter f events
-
-let queued_depth t =
-  Array.fold_left (fun acc q -> acc + Queue.length q) 0 t.bt_queues
+let fire t notes =
+  List.iter
+    (fun (core, entry, ev) ->
+      Ocapi_campaign.emit ~ns:"batch" core entry;
+      Option.iter (fun f -> f ev) t.bt_on_event)
+    notes
 
 let live_interest exec =
   List.exists (fun h -> not h.h_cancelled) exec.ex_handles
@@ -296,40 +239,37 @@ let tightest_deadline exec =
         | Some a, Some b -> Some (Float.min a b))
     None exec.ex_handles
 
-(* Resolve an execution.  Runs with the service lock held; returns the
-   finish event for the caller to fire outside the lock.  Only
-   [Completed] outcomes enter the completed (dedup) table and the
-   artifact queue — failed, timed-out and cancelled jobs stay
-   resubmittable. *)
+(* Resolve an execution (lock held).  Only a [Completed] outcome goes to
+   the artifact writer, and only it dedups later submissions (the
+   core's rule); a cancellation is recorded as a [cancelled] failure. *)
 let finish_exec t exec outcome =
-  exec.ex_status <- Done outcome;
-  Hashtbl.remove t.bt_inflight exec.ex_key;
-  (match outcome with
-  | Completed c ->
-    t.bt_completed_n <- t.bt_completed_n + 1;
-    Hashtbl.replace t.bt_completed exec.ex_key (Completed { c with oc_dedup = true; oc_queue_seconds = 0.0 });
-    if Ocapi_obs.enabled () then Ocapi_obs.count "batch.job.completed";
-    (match t.bt_writer, exec.ex_artifact with
-    | Some w, Some path ->
-      writer_push w path (Ocapi_obs.Json.to_string c.oc_json ^ "\n")
-    | _ -> ())
-  | Failed d ->
-    t.bt_failed <- t.bt_failed + 1;
-    if d.Ocapi_error.e_code = Ocapi_error.Timeout then begin
-      t.bt_timed_out <- t.bt_timed_out + 1;
-      if Ocapi_obs.enabled () then Ocapi_obs.count "batch.job.timeout"
-    end;
-    if Ocapi_obs.enabled () then Ocapi_obs.count "batch.job.failed"
-  | Cancelled ->
-    t.bt_cancelled <- t.bt_cancelled + 1;
-    if Ocapi_obs.enabled () then Ocapi_obs.count "batch.job.cancelled");
+  let failed (code : Ocapi_error.code) message =
+    Ocapi_campaign.J_failed
+      {
+        jf_corr = exec.ex_corr;
+        jf_code = Ocapi_error.code_label code;
+        jf_message = message;
+      }
+  in
+  let entry =
+    match outcome with
+    | Completed c ->
+      (match t.bt_writer, t.bt_artifact_dir with
+      | Some w, Some dir ->
+        writer_push w
+          (Filename.concat dir exec.ex_artifact_file)
+          (Json.to_string c.oc_json ^ "\n")
+      | _ -> ());
+      Ocapi_campaign.J_completed
+        { jd_corr = exec.ex_corr; jd_artifact = exec.ex_artifact_file }
+    | Failed d -> failed d.e_code d.e_message
+    | Cancelled -> failed Cancelled ""
+  in
+  exec.ex_outcome <- Some outcome;
+  exec.ex_run <- None;
   Condition.broadcast t.bt_done;
-  Ev_finished
-    {
-      ev_label = exec.ex_label;
-      ev_corr = corr_of_key exec.ex_key;
-      ev_outcome = outcome;
-    }
+  step t entry
+    (Ev_finished { ev_label = exec.ex_label; ev_corr = exec.ex_corr; ev_outcome = outcome })
 
 let timeout_error label =
   Ocapi_error.make Ocapi_error.Timeout ~engine:"batch"
@@ -356,12 +296,10 @@ let progress_check t exec () =
     Ocapi_error.fail Ocapi_error.Cancelled ~engine:"batch"
       "job %s cancelled while running" exec.ex_label
 
-let run_exec t exec =
-  fire t
-    [ Ev_started { ev_label = exec.ex_label; ev_corr = corr_of_key exec.ex_key } ];
+let run_exec t exec run =
   let started = Unix.gettimeofday () in
   let result =
-    match exec.ex_run ~progress:(progress_check t exec) with
+    match run ~progress:(progress_check t exec) with
     | json ->
       Completed
         {
@@ -384,8 +322,8 @@ let run_exec t exec =
              (Printf.sprintf "job %s raised: %s" exec.ex_label
                 (Printexc.to_string e))))
   in
-  let ev = locked t (fun () -> finish_exec t exec result) in
-  fire t [ ev ]
+  let note = locked t (fun () -> finish_exec t exec result) in
+  fire t [ note ]
 
 (* Queue waits span microseconds (idle worker) to seconds (saturated
    campaign); the default power-of-two telemetry buckets (1 .. 2^20)
@@ -398,49 +336,50 @@ let queue_wait_buckets =
     1e5; 2e5; 5e5; 1e6; 2e6; 5e6; 1e7; 2e7; 5e7; 1e8;
   |]
 
-(* Pop the next runnable execution in priority order, resolving dead
-   ones (cancelled or expired while queued) inline.  Lock held. *)
-let rec dequeue_ready t events =
-  let rec pop i =
-    if i >= Array.length t.bt_queues then None
-    else if Queue.is_empty t.bt_queues.(i) then pop (i + 1)
-    else Some (Queue.pop t.bt_queues.(i))
-  in
-  match pop 0 with
+let set_depth_gauge t =
+  if Ocapi_obs.enabled () then
+    Ocapi_obs.set_gauge "batch.queue.depth"
+      (float_of_int (Ocapi_campaign.queued t.bt_core))
+
+(* Start the core's next job, resolving dead ones (cancelled or expired
+   while queued) on the way.  Lock held; [notes] collects what to fire. *)
+let rec dequeue_ready t notes =
+  let now = Unix.gettimeofday () in
+  match Ocapi_campaign.next t.bt_core ~now with
   | None -> None
-  | Some exec ->
-    if not (live_interest exec) then begin
-      events := finish_exec t exec Cancelled :: !events;
-      dequeue_ready t events
-    end
-    else begin
-      let now = Unix.gettimeofday () in
+  | Some job -> (
+    let exec = Hashtbl.find t.bt_execs job.jb_corr in
+    let resolve outcome =
+      notes := finish_exec t exec outcome :: !notes;
+      dequeue_ready t notes
+    in
+    if not (live_interest exec) then resolve Cancelled
+    else
       match tightest_deadline exec with
-      | Some d when now > d ->
-        events :=
-          finish_exec t exec (Failed (timeout_error exec.ex_label)) :: !events;
-        dequeue_ready t events
+      | Some d when now > d -> resolve (Failed (timeout_error exec.ex_label))
       | _ ->
-        exec.ex_status <- Running;
+        notes :=
+          step t
+            (J_started { jt_corr = exec.ex_corr; jt_attempt = 1 })
+            (Ev_started { ev_label = exec.ex_label; ev_corr = exec.ex_corr })
+          :: !notes;
         exec.ex_queue_seconds <- now -. exec.ex_submitted;
-        t.bt_executed <- t.bt_executed + 1;
-        if Ocapi_obs.enabled () then begin
-          Ocapi_obs.set_gauge "batch.queue.depth" (float_of_int (queued_depth t));
+        set_depth_gauge t;
+        if Ocapi_obs.enabled () then
           Ocapi_obs.observe ~buckets:queue_wait_buckets "batch.queue.wait_us"
-            (exec.ex_queue_seconds *. 1e6)
-        end;
-        Some exec
-    end
+            (exec.ex_queue_seconds *. 1e6);
+        (* Only a resolved execution has dropped its closure. *)
+        Some (exec, Option.get exec.ex_run))
 
 let pull t () =
-  let events = ref [] in
+  let notes = ref [] in
   let next =
     locked t (fun () ->
         let rec wait () =
-          match dequeue_ready t events with
-          | Some exec -> Some exec
+          match dequeue_ready t notes with
+          | Some _ as next -> next
           | None ->
-            if t.bt_shutdown && queued_depth t = 0 then None
+            if t.bt_shutdown && Ocapi_campaign.queued t.bt_core = 0 then None
             else begin
               Condition.wait t.bt_work t.bt_mutex;
               wait ()
@@ -448,58 +387,54 @@ let pull t () =
         in
         wait ())
   in
-  fire t !events;
-  Option.map (fun exec () -> run_exec t exec) next
+  fire t (List.rev !notes);
+  Option.map (fun (exec, run) () -> run_exec t exec run) next
 
 (* --- lifecycle ------------------------------------------------------------ *)
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir)
-  then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let create ?(domains = 1) ?artifact_dir ?on_event () =
   if domains < 1 then invalid_arg "Ocapi_batch.create: domains < 1";
-  Option.iter mkdir_p artifact_dir;
+  Option.iter Ocapi_obs.mkdir_p artifact_dir;
   let t =
     {
       bt_mutex = Mutex.create ();
       bt_work = Condition.create ();
       bt_done = Condition.create ();
-      bt_queues = Array.init 3 (fun _ -> Queue.create ());
-      bt_inflight = Hashtbl.create 32;
-      bt_completed = Hashtbl.create 32;
+      bt_core = Ocapi_campaign.empty;
+      bt_execs = Hashtbl.create 32;
       bt_artifact_dir = artifact_dir;
       bt_writer = Option.map (fun _ -> writer_start ()) artifact_dir;
       bt_on_event = on_event;
       bt_pool = None;
       bt_shutdown = false;
-      bt_submitted = 0;
-      bt_deduped = 0;
-      bt_executed = 0;
-      bt_completed_n = 0;
-      bt_failed = 0;
-      bt_timed_out = 0;
-      bt_cancelled = 0;
     }
   in
   t.bt_pool <- Some (Ocapi_parallel.Service.start ~domains ~pull:(pull t) ());
   t
 
-let flush t = Option.iter writer_flush t.bt_writer
-
 let shutdown t =
   locked t (fun () ->
       t.bt_shutdown <- true;
       Condition.broadcast t.bt_work);
-  (match t.bt_pool with
-  | Some pool -> Ocapi_parallel.Service.join pool
-  | None -> ());
+  Option.iter Ocapi_parallel.Service.join t.bt_pool;
   Option.iter writer_stop t.bt_writer
 
-(* --- job preparation ------------------------------------------------------ *)
+(* --- requests and their preparation ---------------------------------------- *)
+
+type request = {
+  rq_job : job;
+  rq_priority : priority;
+  rq_timeout : float option;
+  rq_label : string option;
+}
+
+type prepared = {
+  pr_key : string;
+  pr_corr : string;
+  pr_label : string;
+  pr_artifact_file : string;
+  pr_run : progress:(unit -> unit) -> Json.t;
+}
 
 let require_pos what n =
   if n <= 0 then
@@ -510,12 +445,12 @@ let require_pos what n =
    a display label, an artifact slug, and the closure a worker runs.
    The design is built here, in the submitting domain, and owned by
    the execution from then on. *)
-let prepare ~label job =
+let prepare_request r =
   let slugify s =
     String.map (fun c -> if c = ':' || c = '/' || c = ' ' then '-' else c) s
   in
   let key, default_label, run =
-    match job with
+    match r.rq_job with
     | Simulate { sim_design; sim_engine; sim_cycles; sim_seed } ->
       require_pos "cycles" sim_cycles;
       let d = find_design sim_design in
@@ -529,7 +464,7 @@ let prepare ~label job =
       ( key,
         Printf.sprintf "simulate:%s:%s:c%d" sim_design engine sim_cycles,
         fun ~progress ->
-          Flow.simulate ~engine ~seed:sim_seed ~corr:(corr_of_key key)
+          Flow.simulate ~engine ~seed:sim_seed ~corr:(Ocapi_campaign.corr_of_key key)
             ~progress:(fun _ -> progress ())
             sys ~cycles:sim_cycles
           |> Flow.simulate_result_json ~engine ~cycles:sim_cycles )
@@ -605,12 +540,16 @@ let prepare ~label job =
     | Custom { cu_tag; cu_body } ->
       ("batch-custom|" ^ cu_tag, "custom:" ^ cu_tag, cu_body)
   in
-  let label = match label with Some l -> l | None -> default_label in
-  ( key,
-    label,
-    Printf.sprintf "%s-%s.json" (slugify label)
-      (String.sub (Digest.to_hex (Digest.string key)) 0 8),
-    run )
+  let label = Option.value r.rq_label ~default:default_label in
+  {
+    pr_key = key;
+    pr_corr = Ocapi_campaign.corr_of_key key;
+    pr_label = label;
+    pr_artifact_file =
+      Printf.sprintf "%s-%s.json" (slugify label)
+        (String.sub (Digest.to_hex (Digest.string key)) 0 8);
+    pr_run = run;
+  }
 
 (* --- submission ----------------------------------------------------------- *)
 
@@ -621,91 +560,77 @@ let submit ?(priority = Normal) ?timeout ?label t job =
   | _ -> ());
   (* Build and fingerprint outside the lock: design construction is
      pure of service state, and a slow build must not stall workers. *)
-  let key, label, artifact_file, run = prepare ~label job in
+  let p =
+    prepare_request
+      { rq_job = job; rq_priority = priority; rq_timeout = timeout; rq_label = label }
+  in
   let now = Unix.gettimeofday () in
-  let deadline = Option.map (fun s -> now +. s) timeout in
-  let handle, event =
+  let handle dedup kind =
+    {
+      h_label = p.pr_label;
+      h_dedup = dedup;
+      h_deadline = Option.map (fun s -> now +. s) timeout;
+      h_cancelled = false;
+      h_kind = kind;
+    }
+  in
+  let h, note =
     locked t (fun () ->
         if t.bt_shutdown then
           invalid_arg "Ocapi_batch.submit: the service is shut down";
-        t.bt_submitted <- t.bt_submitted + 1;
-        if Ocapi_obs.enabled () then Ocapi_obs.count "batch.job.submitted";
-        match Hashtbl.find_opt t.bt_completed key with
-        | Some outcome ->
-          t.bt_deduped <- t.bt_deduped + 1;
-          if Ocapi_obs.enabled () then Ocapi_obs.count "batch.job.dedup";
-          ( {
-              h_label = label;
-              h_dedup = true;
-              h_deadline = deadline;
-              h_cancelled = false;
-              h_kind = Snapshot outcome;
-            },
-            Ev_submitted
-              { ev_label = label; ev_corr = corr_of_key key; ev_dedup = true }
-          )
-        | None -> (
-          match Hashtbl.find_opt t.bt_inflight key with
-          | Some exec ->
-            t.bt_deduped <- t.bt_deduped + 1;
-            if Ocapi_obs.enabled () then Ocapi_obs.count "batch.job.dedup";
-            let h =
-              {
-                h_label = label;
-                h_dedup = true;
-                h_deadline = deadline;
-                h_cancelled = false;
-                h_kind = Attached exec;
-              }
-            in
-            exec.ex_handles <- h :: exec.ex_handles;
-            ( h,
-              Ev_submitted
-                { ev_label = label; ev_corr = corr_of_key key; ev_dedup = true }
-            )
-          | None ->
+        (* Batch requests carry closures, not manifest objects: the
+           journal-shaped request holds only what the core reads. *)
+        let entry =
+          Ocapi_campaign.admit t.bt_core ~corr:p.pr_corr ~key:p.pr_key
+            ~label:p.pr_label ~artifact:p.pr_artifact_file
+            ~request:
+              (Json.Obj
+                 [ ("priority", Json.String (Ocapi_campaign.priority_label priority)) ])
+        in
+        let dedup =
+          match entry with J_submitted { js_dedup; _ } -> js_dedup | _ -> false
+        in
+        let note =
+          step t entry
+            (Ev_submitted { ev_label = p.pr_label; ev_corr = p.pr_corr; ev_dedup = dedup })
+        in
+        let h =
+          if dedup then begin
+            let exec = Hashtbl.find t.bt_execs p.pr_corr in
+            match exec.ex_outcome with
+            | Some (Completed c) ->
+              handle true
+                (Snapshot (Completed { c with oc_dedup = true; oc_queue_seconds = 0.0 }))
+            | _ ->
+              let h = handle true (Attached exec) in
+              exec.ex_handles <- h :: exec.ex_handles;
+              h
+          end
+          else begin
             let exec =
               {
-                ex_key = key;
-                ex_label = label;
-                ex_run = run;
-                ex_priority = priority;
+                ex_corr = p.pr_corr;
+                ex_label = p.pr_label;
+                ex_artifact_file = p.pr_artifact_file;
+                ex_run = Some p.pr_run;
                 ex_submitted = now;
-                ex_artifact =
-                  Option.map
-                    (fun dir -> Filename.concat dir artifact_file)
-                    t.bt_artifact_dir;
-                ex_status = Queued;
+                ex_outcome = None;
                 ex_handles = [];
                 ex_queue_seconds = 0.0;
               }
             in
-            let h =
-              {
-                h_label = label;
-                h_dedup = false;
-                h_deadline = deadline;
-                h_cancelled = false;
-                h_kind = Attached exec;
-              }
-            in
+            let h = handle false (Attached exec) in
             exec.ex_handles <- [ h ];
-            Hashtbl.replace t.bt_inflight key exec;
-            Queue.push exec t.bt_queues.(queue_index priority);
-            if Ocapi_obs.enabled () then
-              Ocapi_obs.set_gauge "batch.queue.depth"
-                (float_of_int (queued_depth t));
+            Hashtbl.replace t.bt_execs p.pr_corr exec;
+            set_depth_gauge t;
             Condition.signal t.bt_work;
-            ( h,
-              Ev_submitted
-                {
-                  ev_label = label;
-                  ev_corr = corr_of_key key;
-                  ev_dedup = false;
-                } )))
+            h
+          end
+        in
+        (h, note))
   in
-  fire t [ event ];
-  handle
+  fire t [ note ];
+  h
 
 (* --- handle queries ------------------------------------------------------- *)
 
@@ -727,159 +652,89 @@ let status t h =
       match h.h_kind with
       | Snapshot o -> Done (handle_view h o)
       | Attached exec -> (
-        if h.h_cancelled then
-          match exec.ex_status with
-          | Done _ | Queued -> Done Cancelled
-          | Running -> Running  (* still winding down for other handles *)
-        else
-          match exec.ex_status with
-          | Done o -> Done (handle_view h o)
-          | (Queued | Running) as s -> s))
+        match exec.ex_outcome with
+        | Some o -> Done (handle_view h o)
+        | None -> (
+          match Ocapi_campaign.find t.bt_core exec.ex_corr with
+          | Some { Ocapi_campaign.jb_phase = Running _; _ } ->
+            Running (* a cancelled handle's job may still be winding down *)
+          | _ -> if h.h_cancelled then Done Cancelled else Queued)))
 
 let await t h =
   locked t (fun () ->
       match h.h_kind with
       | Snapshot o -> handle_view h o
-      | Attached exec ->
-        if h.h_cancelled then Cancelled
-        else begin
-          while
-            (match exec.ex_status with Done _ -> false | _ -> true)
-            && not h.h_cancelled
-          do
-            Condition.wait t.bt_done t.bt_mutex
-          done;
-          if h.h_cancelled then Cancelled
-          else
-            match exec.ex_status with
-            | Done o -> handle_view h o
-            | Queued | Running -> assert false
-        end)
+      | Attached exec -> (
+        while Option.is_none exec.ex_outcome && not h.h_cancelled do
+          Condition.wait t.bt_done t.bt_mutex
+        done;
+        match exec.ex_outcome with
+        | Some o -> handle_view h o
+        | None -> Cancelled))
 
 let cancel t h =
   let cancelled =
     locked t (fun () ->
-        if h.h_cancelled then false
-        else
-          match h.h_kind with
-          | Snapshot _ -> false
-          | Attached exec -> (
-            match exec.ex_status with
-            | Done _ -> false
-            | Queued | Running ->
-              h.h_cancelled <- true;
-              (* A queued execution nobody wants any more resolves
-                 right here; a running one is stopped by its next
-                 [progress] check.  Dead queue entries are skipped
-                 lazily at dequeue. *)
-              Condition.broadcast t.bt_done;
-              true))
+        match h.h_kind with
+        | Attached { ex_outcome = None; _ } when not h.h_cancelled ->
+          h.h_cancelled <- true;
+          (* A queued execution nobody wants any more is resolved when
+             it reaches the head of the queue; a running one is stopped
+             by its next [progress] check. *)
+          Condition.broadcast t.bt_done;
+          true
+        | _ -> false)
   in
-  if cancelled then
-    if Ocapi_obs.enabled () then Ocapi_obs.count "batch.handle.cancelled";
+  if cancelled && Ocapi_obs.enabled () then Ocapi_obs.count "batch.handle.cancelled";
   cancelled
 
 let artifact_path t h =
-  locked t (fun () ->
-      match h.h_kind with
-      | Snapshot _ -> None
-      | Attached exec -> exec.ex_artifact)
+  match h.h_kind with
+  | Snapshot _ -> None
+  | Attached exec ->
+    Option.map (fun dir -> Filename.concat dir exec.ex_artifact_file) t.bt_artifact_dir
 
 let stats t =
   locked t (fun () ->
+      let n = Ocapi_campaign.count t.bt_core in
+      let submitted = n "submitted" + n "deduped" in
+      let cancelled = n "failed:cancelled" in
       {
-        bs_submitted = t.bt_submitted;
-        bs_deduped = t.bt_deduped;
-        bs_executed = t.bt_executed;
-        bs_completed = t.bt_completed_n;
-        bs_failed = t.bt_failed;
-        bs_timed_out = t.bt_timed_out;
-        bs_cancelled = t.bt_cancelled;
+        bs_submitted = submitted;
+        bs_deduped = n "deduped";
+        bs_executed = n "started";
+        bs_completed = n "completed";
+        bs_failed = n "failed" - cancelled;
+        bs_timed_out = n "failed:timeout";
+        bs_cancelled = cancelled;
         bs_artifacts_written =
           (match t.bt_writer with Some w -> w.wr_written | None -> 0);
         bs_dedup_hit_rate =
-          (if t.bt_submitted = 0 then 0.0
-           else float_of_int t.bt_deduped /. float_of_int t.bt_submitted);
+          (if submitted = 0 then 0.0
+           else float_of_int (n "deduped") /. float_of_int submitted);
       })
 
 (* --- manifests ------------------------------------------------------------ *)
 
-type request = {
-  rq_job : job;
-  rq_priority : priority;
-  rq_timeout : float option;
-  rq_label : string option;
-}
-
 let request_of_json json =
-  let open Ocapi_obs.Json in
-  let str field =
-    match member field json with
-    | Some (String s) -> Ok (Some s)
-    | Some _ -> Error (Printf.sprintf "field %S must be a string" field)
-    | None -> Ok None
-  in
-  let int_field field =
-    match member field json with
-    | Some (Int n) -> Ok (Some n)
-    | Some _ -> Error (Printf.sprintf "field %S must be an integer" field)
-    | None -> Ok None
-  in
-  let num_field field =
-    match member field json with
-    | Some (Int n) -> Ok (Some (float_of_int n))
-    | Some (Float f) -> Ok (Some f)
-    | Some _ -> Error (Printf.sprintf "field %S must be a number" field)
-    | None -> Ok None
-  in
+  let open Ocapi_campaign in
   let ( let* ) = Result.bind in
-  let require field = function
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing required field %S" field)
-  in
-  let bool_field field =
-    match member field json with
-    | Some (Bool b) -> Ok (Some b)
-    | Some _ -> Error (Printf.sprintf "field %S must be a boolean" field)
-    | None -> Ok None
-  in
-  let str_list field =
-    match member field json with
-    | Some (List items) ->
-      let rec go acc = function
-        | [] -> Ok (Some (List.rev acc))
-        | String s :: rest -> go (s :: acc) rest
-        | _ -> Error (Printf.sprintf "field %S must be a list of strings" field)
-      in
-      go [] items
-    | Some _ -> Error (Printf.sprintf "field %S must be a list of strings" field)
-    | None -> Ok None
-  in
-  let* kind = str "kind" in
-  let* kind = require "kind" kind in
+  let* kind = need string_field "kind" json in
   (* [design] is required by every design-bound kind, but a fuzz
      campaign generates its own designs. *)
-  let* design_opt = str "design" in
-  let design = require "design" design_opt in
-  let* engine = str "engine" in
-  let* cycles = int_field "cycles" in
-  let* runs = int_field "runs" in
-  let* seed = int_field "seed" in
-  let* count = int_field "count" in
-  let* engines = str_list "engines" in
-  let* deep = bool_field "deep" in
-  let* shrink = bool_field "shrink" in
-  let* max_faults = int_field "max_faults" in
-  let* timeout = num_field "timeout" in
-  let* label = str "label" in
-  let* priority_s = str "priority" in
-  let* priority =
-    match priority_s with
-    | None | Some "normal" -> Ok Normal
-    | Some "high" -> Ok High
-    | Some "low" -> Ok Low
-    | Some other -> Error (Printf.sprintf "unknown priority %S" other)
-  in
+  let design = need string_field "design" json in
+  let* engine = string_field "engine" json in
+  let* cycles = int_field "cycles" json in
+  let* runs = int_field "runs" json in
+  let* seed = int_field "seed" json in
+  let* count = int_field "count" json in
+  let* engines = strings_field "engines" json in
+  let* deep = bool_field "deep" json in
+  let* shrink = bool_field "shrink" json in
+  let* max_faults = int_field "max_faults" json in
+  let* timeout = number_field "timeout" json in
+  let* label = string_field "label" json in
+  let* priority = priority_of_request json in
   let seed = Option.value seed ~default:1 in
   let* job =
     match kind with
@@ -933,51 +788,9 @@ let request_of_json json =
   in
   Ok { rq_job = job; rq_priority = priority; rq_timeout = timeout; rq_label = label }
 
-let request_of_line line =
-  match Ocapi_obs.Json.of_string line with
-  | Error e -> Error (Printf.sprintf "invalid JSON: %s" e)
-  | Ok json -> request_of_json json
-
-let read_manifest path =
-  match open_in path with
-  | exception Sys_error e -> Error e
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let rec go lineno acc =
-          match input_line ic with
-          | exception End_of_file -> Ok (List.rev acc)
-          | line ->
-            let trimmed = String.trim line in
-            if trimmed = "" || trimmed.[0] = '#' then go (lineno + 1) acc
-            else (
-              match request_of_line trimmed with
-              | Ok r -> go (lineno + 1) (r :: acc)
-              | Error e -> Error (Printf.sprintf "line %d: %s" lineno e))
-        in
-        go 1 [])
+let request_of_line = Ocapi_campaign.parse_line request_of_json
+let read_manifest path = Ocapi_campaign.read_manifest path request_of_json
 
 let submit_request t r =
   submit ~priority:r.rq_priority ?timeout:r.rq_timeout ?label:r.rq_label t
     r.rq_job
-
-(* --- preparation for external executors ----------------------------------- *)
-
-type prepared = {
-  pr_key : string;
-  pr_corr : string;
-  pr_label : string;
-  pr_artifact_file : string;
-  pr_run : progress:(unit -> unit) -> Ocapi_obs.Json.t;
-}
-
-let prepare_request r =
-  let key, label, artifact_file, run = prepare ~label:r.rq_label r.rq_job in
-  {
-    pr_key = key;
-    pr_corr = corr_of_key key;
-    pr_label = label;
-    pr_artifact_file = artifact_file;
-    pr_run = run;
-  }

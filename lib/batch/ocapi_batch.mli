@@ -1,39 +1,41 @@
-(** A batch campaign service: many simulation and fault-campaign
-    requests, one bounded worker pool, async artifact writing.
+(** The in-process campaign executor: many simulation and
+    fault-campaign requests on one bounded domain pool, with async
+    artifact writing.
 
-    The interactive flow runs one request at a time; a verification
-    campaign over a design is dozens to thousands of them — simulate
-    this configuration, sweep the engines, run the SEU and stuck-at
-    campaigns — and production use wants them {e queued}, not typed.
-    This service is that queue made first-class:
+    A verification campaign over a design is dozens to thousands of
+    requests — simulate this configuration, sweep the engines, run the
+    SEU and stuck-at campaigns — and they want to be {e queued}, not
+    typed.  One core, two executors: the job lifecycle — priority
+    classes with FIFO order inside each, dedup, correlation ids,
+    lifecycle events — is {!Ocapi_campaign}'s, shared with the
+    supervised process executor {!Ocapi_service}.  This module is the
+    in-process executor that drives it:
 
     - {b Jobs are data} ({!job}): a simulate request, an SEU or
-      stuck-at campaign, an engine-disagreement sweep, or a custom
-      thunk, referencing designs by registry name ({!register_design}).
-    - {b Scheduling} is priority classes ({!priority}) with strict
-      FIFO order inside each class, served by a bounded
-      {!Ocapi_parallel.Service} domain pool ([domains] at {!create}).
-    - {b Deduplication}: every job is fingerprinted through
-      {!Flow.Cache.key_of} (design digest, stimuli, parameters, seed).
-      A submission whose key matches an in-flight or completed job
-      attaches to that execution instead of running again — N
-      identical submissions cost one execution, and every attached
-      handle resolves with the shared result (flagged [oc_dedup]).
-    - {b Timeouts and cancellation} are cooperative: the running job's
-      [progress] hook (threaded down to the engine stepping loop)
-      raises a structured {!Ocapi_error.t} with code [Timeout] or
-      [Cancelled]; queued jobs cancel or time out without running at
-      all.  Nothing hangs and nothing is killed mid-effect.
+      stuck-at campaign, an engine-disagreement sweep, a fuzz campaign
+      or a custom thunk, referencing designs by registry name
+      ({!register_design}).  Each is fingerprinted through
+      {!Flow.Cache.key_of} (design digest, stimuli, parameters, seed);
+      the core dedups on that key, so N identical submissions cost one
+      execution and every handle resolves with the shared result
+      (flagged [oc_dedup]).
+    - {b Execution} is a bounded {!Ocapi_parallel.Service} domain pool
+      ([domains] at {!create}), pulling jobs in the core's order.
+    - {b Timeouts and cancellation} are cooperative and per handle: the
+      running job's [progress] hook (threaded down to the engine
+      stepping loop) raises a structured {!Ocapi_error.t} with code
+      [Timeout] or [Cancelled]; queued jobs cancel or time out without
+      running at all.  Nothing hangs and nothing is killed mid-effect.
     - {b Artifacts} (the canonical JSON report of each completed
       execution) are handed to a dedicated writer thread and written
-      asynchronously; {!flush} and {!shutdown} block until the files
-      are on disk.
+      atomically; {!shutdown} blocks until the files are on disk.
 
     Determinism: an artifact contains only the job's canonical report —
     the same bytes the CLI's [--json] renderings print — never wall
     times or scheduling accidents, so a manifest run with [domains=8]
-    writes bit-identical artifacts to a serial run.  Timing lives in
-    the per-handle {!outcome} and in telemetry ([batch.queue.wait_us],
+    writes bit-identical artifacts to a serial run, and to
+    {!Ocapi_service} on the same manifest.  Timing lives in the
+    per-handle {!outcome} and in telemetry ([batch.queue.wait_us],
     [batch.queue.depth], [batch.job.*] counters) only. *)
 
 (** {1 Design registry}
@@ -49,11 +51,9 @@ val register_design :
   (unit -> Cycle_system.t) ->
   unit
 
-val registered_designs : unit -> string list
-
 (** {1 Jobs} *)
 
-type priority = High | Normal | Low
+type priority = Ocapi_campaign.priority = High | Normal | Low
 
 type job =
   | Simulate of {
@@ -120,11 +120,11 @@ type status = Queued | Running | Done of outcome
 type t
 type handle
 
-(** Lifecycle events.  [ev_corr] is the job's correlation id — a short
-    digest of its dedup key, so it is identical for deduplicated
-    submissions of the same work, stable across serial and parallel
-    runs, and matches the [corr] on the {!Ocapi_obs.Events} lines and
-    the [Flow.simulate] trace span of the execution. *)
+(** Lifecycle events.  [ev_corr] is the job's correlation id
+    ({!Ocapi_campaign.corr_of_key}), so it is identical for
+    deduplicated submissions of the same work, stable across serial and
+    parallel runs, and matches the [corr] on the {!Ocapi_obs.Events}
+    lines and the [Flow.simulate] trace span of the execution. *)
 type event =
   | Ev_submitted of { ev_label : string; ev_corr : string; ev_dedup : bool }
   | Ev_started of { ev_label : string; ev_corr : string }
@@ -155,8 +155,9 @@ val create :
     the job in events and artifacts (default: derived from the job).
 
     The job's design is built and fingerprinted in the calling domain;
-    on a key match with in-flight or completed work the submission
-    attaches to it instead of enqueuing (see the module preamble).
+    on a key match with queued, running or completed work the
+    submission attaches to it instead of enqueuing
+    ({!Ocapi_campaign.admit}).
 
     @raise Ocapi_error.Error with code [Unsupported] on an unknown
     design or engine name.
@@ -183,14 +184,10 @@ val cancel : t -> handle -> bool
 val label_of : handle -> string
 
 (** The artifact file this handle's execution writes on completion
-    ([None] without an [artifact_dir] or for a completed-table hit).
-    The file exists only after the outcome is [Completed] and a
-    {!flush} (or {!shutdown}). *)
+    ([None] without an [artifact_dir] or for a completed-job hit).
+    The file exists once the outcome is [Completed] and {!shutdown}
+    has returned. *)
 val artifact_path : t -> handle -> string option
-
-(** Block until every artifact handed to the writer so far is on
-    disk. *)
-val flush : t -> unit
 
 (** Drain: wait for all queued and running jobs, stop the workers,
     merge their telemetry, flush and stop the writer.  Idempotent.
@@ -204,7 +201,7 @@ val shutdown : t -> unit
 type stats = {
   bs_submitted : int;  (** submissions, including deduplicated ones *)
   bs_deduped : int;
-      (** submissions served by an in-flight or completed execution *)
+      (** submissions served by a queued, running or completed execution *)
   bs_executed : int;  (** executions actually run on a worker *)
   bs_completed : int;  (** executions resolved [Completed] *)
   bs_failed : int;  (** executions resolved [Failed] (incl. timeouts) *)
@@ -250,15 +247,15 @@ val request_of_json : Ocapi_obs.Json.t -> (request, string) result
 
 val request_of_line : string -> (request, string) result
 
-(** [read_manifest path] parses a JSONL file, skipping blank lines and
-    [#] comments.  [Error] messages carry the 1-based line number. *)
+(** [read_manifest path] is {!Ocapi_campaign.read_manifest} with
+    {!request_of_json}. *)
 val read_manifest : string -> (request list, string) result
 
 val submit_request : t -> request -> handle
 
 (** {1 Preparation for external executors}
 
-    The campaign service ([Ocapi_service]) runs jobs in {e worker
+    The supervised executor ({!Ocapi_service}) runs jobs in {e worker
     processes} rather than on this module's domain pool, but shares the
     job vocabulary: the same manifests, the same dedup fingerprints,
     the same canonical artifact bytes.  [prepare_request] is that

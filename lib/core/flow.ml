@@ -105,19 +105,16 @@ module Cache = struct
     Mutex.lock lock;
     Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
-  let rec mkdir_p dir =
-    if not (Sys.file_exists dir) then begin
-      let parent = Filename.dirname dir in
-      if parent <> dir then mkdir_p parent;
-      try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-    end
-
   let enable ?dir ?max_disk_bytes () =
     (match max_disk_bytes with
     | Some b when b < 0 ->
       invalid_arg "Flow.Cache.enable: max_disk_bytes < 0"
     | _ -> ());
-    (match dir with Some d -> mkdir_p d | None -> ());
+    (* An uncreatable directory is tolerated: its disk writes fail
+       and degrade to misses. *)
+    (match dir with
+    | Some d -> ( try Ocapi_obs.mkdir_p d with Sys_error _ -> ())
+    | None -> ());
     locked (fun () ->
         state := Some dir;
         disk_cap := max_disk_bytes)
@@ -235,29 +232,23 @@ module Cache = struct
         result
       with _ -> None
 
-  (* Writes are atomic (tmp + rename, the same idiom as the batch
-     artifact writer): a crash mid-write leaves at worst a stray tmp
-     file, never a truncated [.cache] entry for [disk_read] to choke
-     on.  The handler is deliberately wide — out of space, permission,
-     a directory swapped for a file, anything — because a failed write
-     must degrade to a future miss, not abort the simulation that just
-     produced the value. *)
+  (* Writes are atomic ({!Ocapi_obs.write_file_atomic}): a crash
+     mid-write leaves at worst a stray temp file, never a truncated
+     [.cache] entry for [disk_read] to choke on.  The handler is
+     deliberately wide — out of space, permission, a directory swapped
+     for a file, anything — because a failed write must degrade to a
+     future miss, not abort the simulation that just produced the
+     value. *)
   let disk_write ~namespace dir k v =
-    let path = disk_path ~namespace dir k in
-    let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
     match
-      let oc = open_out_bin tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> Marshal.to_channel oc (k, v) []);
-      Sys.rename tmp path
+      Ocapi_obs.write_file_atomic
+        ~path:(disk_path ~namespace dir k)
+        (Marshal.to_string (k, v) [])
     with
     | () ->
       (match !disk_cap with Some cap -> sweep_disk dir cap | None -> ());
       true
-    | exception _ ->
-      (try Sys.remove tmp with _ -> ());
-      false
+    | exception _ -> false
 
   (* The shared lookup/store shape of the history table and every
      auxiliary [Store]: memory first, then the namespaced disk entry,

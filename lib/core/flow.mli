@@ -171,12 +171,6 @@ module Cache : sig
     store:(string -> 'a -> unit) ->
     'a
 
-  (** {!coalesced} specialized to the history table. *)
-  val coalesced_histories :
-    key:string ->
-    compute:(unit -> (string * (int * Fixed.t) list) list) ->
-    (string * (int * Fixed.t) list) list
-
   (** A typed auxiliary store sharing the cache's lifecycle
       (enable/disable/clear/stats) and disk directory.  Apply once per
       value type with a unique [namespace] — disk entries are keyed by

@@ -37,12 +37,6 @@ let behavioral sys =
     ir_provenance = [];
   }
 
-let to_system d =
-  match d.ir_design with Behavioral s -> Some s | Rtl _ | Gate _ -> None
-
-let to_rtl d =
-  match d.ir_design with Rtl r -> Some r | Behavioral _ | Gate _ -> None
-
 let to_netlist d =
   match d.ir_design with Gate nl -> Some nl | Behavioral _ | Rtl _ -> None
 

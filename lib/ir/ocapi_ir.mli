@@ -67,8 +67,6 @@ val level_name : t -> string
     [Rtl.digest] / [Netlist.digest]). *)
 val digest_of : payload -> string
 
-val to_system : t -> Cycle_system.t option
-val to_rtl : t -> Rtl.t option
 val to_netlist : t -> Netlist.t option
 
 (** {1 The pass manager} *)

@@ -138,13 +138,6 @@ let cache_dir () =
   | Some d when d <> "" -> d
   | _ -> Filename.concat (Filename.get_temp_dir_name ()) "ocapi-native-cache"
 
-let rec mkdir_p d =
-  if not (Sys.file_exists d) then begin
-    let parent = Filename.dirname d in
-    if parent <> d then mkdir_p parent;
-    (try Sys.mkdir d 0o755 with Sys_error _ -> ())
-  end
-
 let clear_disk_cache () =
   let dir = cache_dir () in
   if Sys.file_exists dir && Sys.is_directory dir then
@@ -165,25 +158,6 @@ let shared_store : (string -> string * string -> unit) ref =
 let set_shared_store ~find ~store =
   shared_find := find;
   shared_store := store
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* Atomic-enough writes (tmp + rename) so a concurrent process never
-   loads a torn .cmxs. *)
-let write_file path contents =
-  let tmp =
-    Printf.sprintf "%s.tmp.%d.%d" path (Hashtbl.hash path)
-      (Hashtbl.hash contents)
-  in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc contents);
-  Sys.rename tmp path
 
 let cache_key sys ~cmi =
   let cmi_digest =
@@ -230,7 +204,7 @@ let compile_cmxs ~cmi ~src ~out =
   in
   let rc = Sys.command cmd in
   if rc <> 0 then begin
-    let detail = try read_file log with _ -> "" in
+    let detail = try Ocapi_obs.read_whole_file log with _ -> "" in
     let detail =
       if String.length detail > 400 then String.sub detail 0 400 else detail
     in
@@ -257,7 +231,7 @@ let load_plugin path =
       let oc = open_out_bin priv in
       Fun.protect
         ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc (read_file path));
+        (fun () -> output_string oc (Ocapi_obs.read_whole_file path));
       Dynlink.loadfile_private priv;
       match Ocapi_native_abi.take () with
       | Some p -> p
@@ -265,7 +239,7 @@ let load_plugin path =
 
 let read_meta path : Emit.plugin_meta option =
   match
-    (try Some (Marshal.from_string (read_file path) 0) with _ -> None)
+    (try Some (Marshal.from_string (Ocapi_obs.read_whole_file path) 0) with _ -> None)
   with
   | Some m when m.Emit.pm_version = Emit.emitter_version -> Some m
   | _ -> None
@@ -282,7 +256,7 @@ let obtain_plugin sys =
     | None -> raise (Fall (diag "plugin ABI interface not found"))
   in
   let dir = cache_dir () in
-  mkdir_p dir;
+  Ocapi_obs.mkdir_p dir;
   let key = cache_key sys ~cmi in
   let base = Filename.concat dir ("ocapi_plugin_" ^ key) in
   let cmxs = base ^ ".cmxs" and metaf = base ^ ".meta" in
@@ -319,8 +293,8 @@ let obtain_plugin sys =
       match !shared_find key with
       | None -> None
       | Some (cmxs_bytes, meta_bytes) -> (
-        write_file cmxs cmxs_bytes;
-        write_file metaf meta_bytes;
+        Ocapi_obs.write_file_atomic ~path:cmxs cmxs_bytes;
+        Ocapi_obs.write_file_atomic ~path:metaf meta_bytes;
         match try_load ~count_hit:true () with
         | Some r -> Some r
         | None ->
@@ -333,14 +307,14 @@ let obtain_plugin sys =
   | None ->
     let t_compile = Ocapi_obs.span_begin () in
     let src, meta = Emit.emit_plugin sys in
-    write_file (base ^ ".ml") src;
+    Ocapi_obs.write_file_atomic ~path:(base ^ ".ml") src;
     compile_cmxs ~cmi ~src:(base ^ ".ml") ~out:cmxs;
-    write_file metaf (Marshal.to_string (meta : Emit.plugin_meta) []);
+    Ocapi_obs.write_file_atomic ~path:metaf (Marshal.to_string (meta : Emit.plugin_meta) []);
     bump n_compiles "compiles";
     Ocapi_obs.span_end ~cat:"native"
       ~args:[ ("key", Ocapi_obs.Json.String key) ]
       "native.compile" t_compile;
-    (try !shared_store key (read_file cmxs, read_file metaf)
+    (try !shared_store key (Ocapi_obs.read_whole_file cmxs, Ocapi_obs.read_whole_file metaf)
      with _ -> ());
     (match try_load ~count_hit:false () with
     | Some r -> r

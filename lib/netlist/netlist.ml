@@ -145,16 +145,6 @@ let output_bus t name bus =
   if List.mem_assoc name t.outputs then error "duplicate output bus %s" name;
   t.outputs <- (name, bus) :: t.outputs
 
-let find_input t name =
-  match List.assoc_opt name t.inputs with
-  | Some b -> b
-  | None -> error "no input bus %s" name
-
-let find_output t name =
-  match List.assoc_opt name t.outputs with
-  | Some b -> b
-  | None -> error "no output bus %s" name
-
 let const_bus t ~width v =
   Array.init width (fun i ->
       if Int64.logand (Int64.shift_right_logical v i) 1L = 1L then

@@ -90,9 +90,6 @@ val input_bus : t -> string -> int -> net array
 (** Declare nets as a named primary output bus. *)
 val output_bus : t -> string -> net array -> unit
 
-val find_input : t -> string -> net array
-val find_output : t -> string -> net array
-
 (** {1 Bus helpers} *)
 
 val const_bus : t -> width:int -> int64 -> net array

@@ -768,7 +768,7 @@ let pp_report ppf r =
     r.rp_metrics;
   Format.fprintf ppf "@]"
 
-(* --- shared file helpers (events + ledger) -------------------------------- *)
+(* --- shared file helpers ---------------------------------------------------- *)
 
 let read_whole_file path =
   let ic = open_in_bin path in
@@ -776,20 +776,41 @@ let read_whole_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Atomic publication, same idiom as the batch artifact writer: write a
-   process-unique temp file next to the target and [Sys.rename] it into
-   place, so a concurrent reader sees either the old bytes or the new
-   bytes, never a torn file. *)
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    let parent = Filename.dirname dir in
+    if parent <> dir then mkdir_p parent;
+    (* A concurrent creator may win the race; only a directory that is
+       still missing is an error. *)
+    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
+  end
+
+(* Atomic publication: write a temp file next to the target and
+   [Sys.rename] it into place, so a concurrent reader sees either the old
+   bytes or the new bytes, never a torn file.  The temp name is unique per
+   process and per call, so concurrent writers of one path (domains of
+   one process, or processes sharing a cache) never share a temp file:
+   each rename succeeds and the last one wins. *)
+let tmp_counter = Atomic.make 0
+
 let write_file_atomic ~path content =
-  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-  let oc = open_out_bin tmp in
-  (match output_string oc content with
-  | () -> close_out oc
+  let tmp =
+    Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
+      (Atomic.fetch_and_add tmp_counter 1)
+  in
+  match
+    let oc = open_out_bin tmp in
+    (match output_string oc content with
+    | () -> close_out oc
+    | exception e ->
+      close_out_noerr oc;
+      raise e);
+    Sys.rename tmp path
+  with
+  | () -> ()
   | exception e ->
-    close_out_noerr oc;
     (try Sys.remove tmp with Sys_error _ -> ());
-    raise e);
-  Sys.rename tmp path
+    raise e
 
 (* --- structured event log -------------------------------------------------- *)
 

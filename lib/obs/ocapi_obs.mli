@@ -217,6 +217,22 @@ val run_with_telemetry : label:string -> (unit -> 'a) -> 'a * report
 val report_json : report -> Json.t
 val pp_report : Format.formatter -> report -> unit
 
+(** {1 Files} *)
+
+val read_whole_file : string -> string
+
+(** [mkdir_p dir] creates [dir] and its missing parents.
+    @raise Sys_error when [dir] cannot be created. *)
+val mkdir_p : string -> unit
+
+(** [write_file_atomic ~path content] writes [content] to a temp file
+    unique to this process and call, then renames it onto [path]: a
+    reader sees the old bytes or the new, never a torn file, and
+    concurrent writers of one path all succeed.  The temp file is
+    removed on failure.
+    @raise Sys_error when the write or the rename fails. *)
+val write_file_atomic : path:string -> string -> unit
+
 (** {1 Structured event log}
 
     Job-lifecycle events ([job_submitted], [job_started],

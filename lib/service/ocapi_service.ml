@@ -1,191 +1,17 @@
-(* Resilient campaign service: a supervising server, one worker process
-   per job attempt, a write-ahead JSONL journal, and retry with seeded
-   exponential backoff.  See ocapi_service.mli for the architecture. *)
+(* The supervised executor of the campaign core: one worker process per
+   job attempt, heartbeat and kill policies, the on-disk journal, and
+   chaos.  Queue order, dedup, the retry budget and lifecycle events are
+   [Ocapi_campaign]'s.  See ocapi_service.mli for the architecture. *)
 
 module Json = Ocapi_obs.Json
-
-let ( let* ) = Result.bind
-
-(* --- small helpers -------------------------------------------------------- *)
-
-let rec mkdir_p path =
-  if path = "" || path = "." || path = "/" || Sys.file_exists path then ()
-  else begin
-    mkdir_p (Filename.dirname path);
-    try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-(* Same correlation-id derivation as Ocapi_batch: short digest of the
-   dedup key, so service, batch and trace spans join on one id. *)
-let corr_of_key key = String.sub (Digest.to_hex (Digest.string key)) 0 12
-
-let field name j =
-  match Json.member name j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let sfield name j =
-  let* v = field name j in
-  match v with
-  | Json.String s -> Ok s
-  | _ -> Error (Printf.sprintf "field %S: expected a string" name)
-
-let ifield name j =
-  let* v = field name j in
-  match v with
-  | Json.Int i -> Ok i
-  | _ -> Error (Printf.sprintf "field %S: expected an integer" name)
-
-let ffield name j =
-  let* v = field name j in
-  match v with
-  | Json.Float f -> Ok f
-  | Json.Int i -> Ok (float_of_int i)
-  | _ -> Error (Printf.sprintf "field %S: expected a number" name)
-
-let bfield name j =
-  let* v = field name j in
-  match v with
-  | Json.Bool b -> Ok b
-  | _ -> Error (Printf.sprintf "field %S: expected a boolean" name)
-
-(* --- retry backoff -------------------------------------------------------- *)
-
-let backoff_delay ~base ~cap ~seed ~corr ~attempt =
-  if base <= 0. then invalid_arg "Ocapi_service.backoff_delay: base <= 0";
-  if cap < base then invalid_arg "Ocapi_service.backoff_delay: cap < base";
-  if attempt < 1 then invalid_arg "Ocapi_service.backoff_delay: attempt < 1";
-  (* Jitter in [0, 0.5), drawn from a digest so the schedule is a pure
-     function of (seed, corr, attempt): reproducible from the seed, yet
-     decorrelated across jobs so a crashed fleet does not retry in
-     lockstep. *)
-  let d = Digest.string (Printf.sprintf "%d|%s|%d" seed corr attempt) in
-  let u = int_of_string ("0x" ^ String.sub (Digest.to_hex d) 0 7) in
-  let jitter = 0.5 *. (float_of_int u /. 268435456. (* 16^7 *)) in
-  Float.min cap (ldexp base (attempt - 1) *. (1. +. jitter))
-
-(* --- journal entries ------------------------------------------------------ *)
-
-type entry =
-  | J_submitted of {
-      js_corr : string;
-      js_key : string;
-      js_label : string;
-      js_artifact : string;
-      js_request : Json.t;
-      js_dedup : bool;
-    }
-  | J_started of { jt_corr : string; jt_attempt : int }
-  | J_crashed of { jc_corr : string; jc_attempt : int; jc_reason : string }
-  | J_retried of { jr_corr : string; jr_attempt : int; jr_backoff : float }
-  | J_completed of { jd_corr : string; jd_artifact : string }
-  | J_failed of { jf_corr : string; jf_code : string; jf_message : string }
-  | J_rejected of { jx_corr : string; jx_label : string }
-
-let entry_json = function
-  | J_submitted s ->
-    Json.Obj
-      [
-        ("ev", Json.String "submitted");
-        ("corr", Json.String s.js_corr);
-        ("key", Json.String s.js_key);
-        ("label", Json.String s.js_label);
-        ("artifact", Json.String s.js_artifact);
-        ("dedup", Json.Bool s.js_dedup);
-        ("request", s.js_request);
-      ]
-  | J_started s ->
-    Json.Obj
-      [
-        ("ev", Json.String "started");
-        ("corr", Json.String s.jt_corr);
-        ("attempt", Json.Int s.jt_attempt);
-      ]
-  | J_crashed c ->
-    Json.Obj
-      [
-        ("ev", Json.String "crashed");
-        ("corr", Json.String c.jc_corr);
-        ("attempt", Json.Int c.jc_attempt);
-        ("reason", Json.String c.jc_reason);
-      ]
-  | J_retried r ->
-    Json.Obj
-      [
-        ("ev", Json.String "retried");
-        ("corr", Json.String r.jr_corr);
-        ("attempt", Json.Int r.jr_attempt);
-        ("backoff", Json.Float r.jr_backoff);
-      ]
-  | J_completed d ->
-    Json.Obj
-      [
-        ("ev", Json.String "completed");
-        ("corr", Json.String d.jd_corr);
-        ("artifact", Json.String d.jd_artifact);
-      ]
-  | J_failed f ->
-    Json.Obj
-      [
-        ("ev", Json.String "failed");
-        ("corr", Json.String f.jf_corr);
-        ("code", Json.String f.jf_code);
-        ("message", Json.String f.jf_message);
-      ]
-  | J_rejected x ->
-    Json.Obj
-      [
-        ("ev", Json.String "rejected");
-        ("corr", Json.String x.jx_corr);
-        ("label", Json.String x.jx_label);
-      ]
-
-let entry_of_json j =
-  let* ev = sfield "ev" j in
-  match ev with
-  | "submitted" ->
-    let* js_corr = sfield "corr" j in
-    let* js_key = sfield "key" j in
-    let* js_label = sfield "label" j in
-    let* js_artifact = sfield "artifact" j in
-    let* js_dedup = bfield "dedup" j in
-    let* js_request = field "request" j in
-    Ok (J_submitted { js_corr; js_key; js_label; js_artifact; js_request; js_dedup })
-  | "started" ->
-    let* jt_corr = sfield "corr" j in
-    let* jt_attempt = ifield "attempt" j in
-    Ok (J_started { jt_corr; jt_attempt })
-  | "crashed" ->
-    let* jc_corr = sfield "corr" j in
-    let* jc_attempt = ifield "attempt" j in
-    let* jc_reason = sfield "reason" j in
-    Ok (J_crashed { jc_corr; jc_attempt; jc_reason })
-  | "retried" ->
-    let* jr_corr = sfield "corr" j in
-    let* jr_attempt = ifield "attempt" j in
-    let* jr_backoff = ffield "backoff" j in
-    Ok (J_retried { jr_corr; jr_attempt; jr_backoff })
-  | "completed" ->
-    let* jd_corr = sfield "corr" j in
-    let* jd_artifact = sfield "artifact" j in
-    Ok (J_completed { jd_corr; jd_artifact })
-  | "failed" ->
-    let* jf_corr = sfield "corr" j in
-    let* jf_code = sfield "code" j in
-    let* jf_message = sfield "message" j in
-    Ok (J_failed { jf_corr; jf_code; jf_message })
-  | "rejected" ->
-    let* jx_corr = sfield "corr" j in
-    let* jx_label = sfield "label" j in
-    Ok (J_rejected { jx_corr; jx_label })
-  | other -> Error ("unknown event: " ^ other)
+open Ocapi_campaign
 
 (* --- the journal file ----------------------------------------------------- *)
 
 type journal = { j_oc : out_channel }
 
 let journal_open path =
-  mkdir_p (Filename.dirname path);
+  Ocapi_obs.mkdir_p (Filename.dirname path);
   { j_oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path }
 
 (* One write + flush per entry: the write-ahead discipline is only as
@@ -197,120 +23,31 @@ let journal_append t e =
 
 let journal_close t = close_out_noerr t.j_oc
 
-let unknown_event msg =
-  String.length msg >= 13 && String.sub msg 0 13 = "unknown event"
-
 let journal_load path =
   if not (Sys.file_exists path) then Ok []
-  else begin
-    let ic = open_in_bin path in
+  else
     let lines =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let rec go acc =
-            match input_line ic with
-            | line -> go (line :: acc)
-            | exception End_of_file -> List.rev acc
-          in
-          go [])
+      String.split_on_char '\n' (Ocapi_obs.read_whole_file path)
+      |> List.mapi (fun i l -> (i + 1, String.trim l))
+      |> List.filter (fun (_, l) -> l <> "")
     in
-    let n = List.length lines in
-    let rec go i acc = function
+    let last = List.length lines in
+    let rec go k acc = function
       | [] -> Ok (List.rev acc)
-      | line :: rest ->
-        if String.trim line = "" then go (i + 1) acc rest
-        else begin
-          match Json.of_string line with
-          | Error msg ->
-            (* A torn final line is the crash we are designed for; a
-               torn interior line is corruption worth reporting. *)
-            if i = n then Ok (List.rev acc)
-            else Error (Printf.sprintf "journal line %d: %s" i msg)
-          | Ok j -> begin
-            match entry_of_json j with
-            | Ok e -> go (i + 1) (e :: acc) rest
-            | Error msg ->
-              if i = n then Ok (List.rev acc)
-              else if unknown_event msg then go (i + 1) acc rest
-              else Error (Printf.sprintf "journal line %d: %s" i msg)
-          end
-        end
+      | (i, line) :: rest -> (
+        match parse_line entry_of_json line with
+        | Ok e -> go (k + 1) (e :: acc) rest
+        (* A torn final line is the crash we are designed for; a torn
+           interior line is corruption worth reporting.  Unknown event
+           kinds (a newer server's journal) are skipped. *)
+        | Error _ when k = last -> Ok (List.rev acc)
+        | Error msg when String.starts_with ~prefix:"unknown event" msg ->
+          go (k + 1) acc rest
+        | Error msg -> Error (Printf.sprintf "journal line %d: %s" i msg))
     in
     go 1 [] lines
-  end
 
-(* --- replay --------------------------------------------------------------- *)
-
-type pending = {
-  p_corr : string;
-  p_key : string;
-  p_label : string;
-  p_artifact : string;
-  p_request : Json.t;
-  p_attempts : int;
-}
-
-type recovered = {
-  rv_completed : (string * string) list;
-  rv_failed : (string * string) list;
-  rv_pending : pending list;
-}
-
-type jstate = S_queued of int | S_completed of string | S_failed of string
-
-let replay entries =
-  let info = Hashtbl.create 32 in
-  let state = Hashtbl.create 32 in
-  let order = ref [] in
-  List.iter
-    (fun e ->
-      match e with
-      | J_submitted s when not s.js_dedup ->
-        Hashtbl.replace info s.js_corr
-          (s.js_key, s.js_label, s.js_artifact, s.js_request);
-        (match Hashtbl.find_opt state s.js_corr with
-        | Some (S_queued _) -> ()
-        | _ ->
-          (* A fresh submission — or a resubmission of work whose last
-             run ended terminally (failed keys stay resubmittable). *)
-          Hashtbl.replace state s.js_corr (S_queued 0);
-          if not (List.mem s.js_corr !order) then order := s.js_corr :: !order)
-      | J_crashed c -> (
-        match Hashtbl.find_opt state c.jc_corr with
-        | Some (S_queued _) -> Hashtbl.replace state c.jc_corr (S_queued c.jc_attempt)
-        | _ -> ())
-      | J_completed d -> Hashtbl.replace state d.jd_corr (S_completed d.jd_artifact)
-      | J_failed f -> Hashtbl.replace state f.jf_corr (S_failed f.jf_code)
-      | J_submitted _ | J_started _ | J_retried _ | J_rejected _ -> ())
-    entries;
-  let order = List.rev !order in
-  let completed = ref [] and failed = ref [] and pend = ref [] in
-  List.iter
-    (fun corr ->
-      match (Hashtbl.find_opt state corr, Hashtbl.find_opt info corr) with
-      | Some (S_completed artifact), Some (key, _, _, _) ->
-        completed := (key, artifact) :: !completed
-      | Some (S_failed code), Some (key, _, _, _) ->
-        failed := (key, code) :: !failed
-      | Some (S_queued attempts), Some (key, label, artifact, request) ->
-        pend :=
-          {
-            p_corr = corr;
-            p_key = key;
-            p_label = label;
-            p_artifact = artifact;
-            p_request = request;
-            p_attempts = attempts;
-          }
-          :: !pend
-      | _ -> ())
-    order;
-  {
-    rv_completed = List.rev !completed;
-    rv_failed = List.rev !failed;
-    rv_pending = List.rev !pend;
-  }
+let replay entries = recovered (Ocapi_campaign.replay entries)
 
 (* --- configuration -------------------------------------------------------- *)
 
@@ -373,26 +110,8 @@ type summary = {
 
 (* --- manifests ------------------------------------------------------------ *)
 
-let read_manifest path =
-  match open_in_bin path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let rec go i acc =
-          match input_line ic with
-          | exception End_of_file -> Ok (List.rev acc)
-          | line ->
-            let t = String.trim line in
-            if t = "" || t.[0] = '#' then go (i + 1) acc
-            else begin
-              match Json.of_string t with
-              | Ok j -> go (i + 1) (j :: acc)
-              | Error msg -> Error (Printf.sprintf "%s:%d: %s" path i msg)
-            end
-        in
-        go 1 [])
+(* Raw objects: the journal stores them verbatim. *)
+let read_manifest path = Ocapi_campaign.read_manifest path Result.ok
 
 (* --- worker side ---------------------------------------------------------- *)
 
@@ -482,17 +201,10 @@ let worker_main ?timeout ?(heartbeat_every = 1.0) ?cache_dir ~request ~artifact
           in
           let json = prep.pr_run ~progress in
           (* Atomic publication: the artifact appears all-or-nothing, so
-             a kill between write and rename leaves no torn file and the
-             server treats an existing artifact as proof of completion. *)
-          let tmp = Printf.sprintf "%s.%d.tmp" artifact (Unix.getpid ()) in
-          mkdir_p (Filename.dirname artifact);
-          let oc = open_out_bin tmp in
-          Fun.protect
-            ~finally:(fun () -> close_out_noerr oc)
-            (fun () ->
-              output_string oc (Json.to_string json);
-              output_char oc '\n');
-          Sys.rename tmp artifact;
+             a kill mid-write leaves no torn file and the server treats
+             an existing artifact as proof of completion. *)
+          Ocapi_obs.mkdir_p (Filename.dirname artifact);
+          Ocapi_obs.write_file_atomic ~path:artifact (Json.to_string json ^ "\n");
           Ok ()
         with
         | Ocapi_error.Error e -> Error e
@@ -514,22 +226,10 @@ let worker_main ?timeout ?(heartbeat_every = 1.0) ?cache_dir ~request ~artifact
 
 (* --- the supervisor ------------------------------------------------------- *)
 
-type qjob = {
-  q_corr : string;
-  q_key : string;
-  q_label : string;
-  q_artifact : string;
-  q_request : Json.t;
-  q_prio : int;
-  q_seq : int;
-  mutable q_crashes : int;
-  mutable q_ready_at : float;
-}
-
 type slot = {
   s_pid : int;
   s_fd : Unix.file_descr;
-  s_job : qjob;
+  s_job : job;
   s_attempt : int;
   s_deadline : float option;
   s_chaos_at : float option;
@@ -568,28 +268,12 @@ let parse_fail_line line =
     (get "code" "internal", get "message" "")
   | Error _ -> ("internal", "malformed failure report: " ^ payload)
 
-let request_timeout j =
-  match Json.member "timeout" j with
-  | Some (Json.Float f) -> Some f
-  | Some (Json.Int i) -> Some (float_of_int i)
-  | _ -> None
-
-let request_prio j =
-  match Json.member "priority" j with
-  | Some (Json.String "high") -> 0
-  | Some (Json.String "low") -> 2
-  | _ -> 1
-
-let starts_with prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
 let serve cf ~requests =
   if cf.cf_workers < 1 then invalid_arg "Ocapi_service.serve: workers < 1";
   if cf.cf_retries < 1 then invalid_arg "Ocapi_service.serve: retries < 1";
   if cf.cf_max_queue < 1 then invalid_arg "Ocapi_service.serve: max_queue < 1";
-  mkdir_p cf.cf_state_dir;
-  mkdir_p cf.cf_artifact_dir;
+  Ocapi_obs.mkdir_p cf.cf_state_dir;
+  Ocapi_obs.mkdir_p cf.cf_artifact_dir;
   let t0 = Unix.gettimeofday () in
   let say fmt =
     Printf.ksprintf
@@ -597,70 +281,51 @@ let serve cf ~requests =
       fmt
   in
   let journal_path = Filename.concat cf.cf_state_dir "journal.jsonl" in
-  let recovered_state =
+  (* Resume exactly where the last server stopped: the journal replays
+     queued, running (requeued) and completed jobs. *)
+  let state =
     match journal_load journal_path with
-    | Ok entries -> replay entries
+    | Ok entries -> ref (Ocapi_campaign.replay entries)
     | Error msg ->
       Ocapi_error.fail Internal ~engine:"service" "unreadable journal: %s" msg
   in
+  let at_start = !state in
   let jr = journal_open journal_path in
-  (* The completed store doubles as the dedup source across restarts —
-     but only entries whose artifact survived on disk count; a deleted
-     artifact means the work must be redone. *)
-  let completed_tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (key, artifact) ->
-      if Sys.file_exists (Filename.concat cf.cf_artifact_dir artifact) then
-        Hashtbl.replace completed_tbl key artifact)
-    recovered_state.rv_completed;
-  let active_keys = Hashtbl.create 64 in
-  let pending = ref [] in
-  let seq = ref 0 in
-  let sm_submitted = ref 0
-  and sm_deduped = ref 0
-  and sm_completed = ref 0
-  and sm_failed = ref 0
-  and sm_poisoned = ref 0
-  and sm_rejected = ref 0
-  and sm_crashes = ref 0
-  and sm_retries = ref 0
-  and sm_chaos_kills = ref 0 in
-  let event ?corr kind fields = Ocapi_obs.Events.emit ?corr ~fields kind in
-  let enqueue job =
-    Hashtbl.replace active_keys job.q_key ();
-    pending := !pending @ [ job ]
+  let artifact_path file = Filename.concat cf.cf_artifact_dir file in
+  let label corr =
+    match find !state corr with Some j -> " " ^ j.jb_label | None -> ""
   in
-  (* Requeue journaled jobs that never reached a terminal state: a
-     restarted server resumes exactly where the dead one stopped. *)
-  List.iter
-    (fun p ->
-      incr seq;
-      enqueue
-        {
-          q_corr = p.p_corr;
-          q_key = p.p_key;
-          q_label = p.p_label;
-          q_artifact = p.p_artifact;
-          q_request = p.p_request;
-          q_prio = request_prio p.p_request;
-          q_seq = !seq;
-          q_crashes = p.p_attempts;
-          q_ready_at = 0.;
-        })
-    recovered_state.rv_pending;
-  let sm_recovered = List.length recovered_state.rv_pending in
+  (* Write-ahead: journal the transition, then apply it. *)
+  let commit ?extra e =
+    journal_append jr e;
+    state := apply !state ~now:(Unix.gettimeofday ()) e;
+    emit ~ns:"service" ?extra !state e;
+    match e with
+    | J_submitted { js_dedup = true; js_label; _ } -> say "dedup: %s" js_label
+    | J_submitted _ -> ()
+    | J_started s ->
+      say "start [%s]%s (attempt %d/%d)" s.jt_corr (label s.jt_corr) s.jt_attempt
+        cf.cf_retries
+    | J_crashed c ->
+      say "crash [%s]%s (attempt %d: %s)" c.jc_corr (label c.jc_corr) c.jc_attempt
+        c.jc_reason
+    | J_retried r ->
+      say "retry [%s]%s in %.2fs (attempt %d/%d)" r.jr_corr (label r.jr_corr)
+        r.jr_backoff r.jr_attempt cf.cf_retries
+    | J_completed d -> say "done [%s]%s" d.jd_corr (label d.jd_corr)
+    | J_failed f ->
+      say "failed [%s]%s: %s: %s" f.jf_corr (label f.jf_corr) f.jf_code f.jf_message
+    | J_rejected x -> say "rejected [%s] %s" x.jx_corr x.jx_label
+  in
+  let sm_recovered = queued !state in
   if sm_recovered > 0 then say "recovered %d pending job(s) from the journal" sm_recovered;
-  (* Admission: journal first, then enqueue — write-ahead. *)
   let submit raw =
-    incr sm_submitted;
     let raw_corr () = corr_of_key ("raw|" ^ Json.to_string raw) in
     match Ocapi_batch.request_of_json raw with
     | Error msg ->
-      let corr = raw_corr () in
-      journal_append jr (J_rejected { jx_corr = corr; jx_label = msg });
-      incr sm_rejected;
-      event ~corr "job_rejected" [ ("reason", Json.String msg) ];
-      say "rejected: %s" msg
+      commit
+        ~extra:[ ("reason", Json.String msg) ]
+        (J_rejected { jx_corr = raw_corr (); jx_label = msg })
     | Ok req -> (
       match
         try Ok (Ocapi_batch.prepare_request req) with
@@ -669,18 +334,13 @@ let serve cf ~requests =
           Error (Ocapi_error.make Unsupported ~engine:"service" m)
       with
       | Error e ->
-        let corr = raw_corr () in
-        journal_append jr
+        commit
           (J_failed
              {
-               jf_corr = corr;
+               jf_corr = raw_corr ();
                jf_code = Ocapi_error.code_label e.e_code;
                jf_message = e.e_message;
-             });
-        incr sm_failed;
-        event ~corr "job_failed"
-          [ ("code", Json.String (Ocapi_error.code_label e.e_code)) ];
-        say "failed (not runnable): %s" e.e_message
+             })
       | Ok prep ->
         (* A "chaos"-marked request is a different job from its plain
            twin: fold the marker into the key so they never dedup into
@@ -692,62 +352,23 @@ let serve cf ~requests =
             (key, corr_of_key key, "chaos-" ^ prep.pr_artifact_file)
           | _ -> (prep.pr_key, prep.pr_corr, prep.pr_artifact_file)
         in
-        let submitted dedup =
-          journal_append jr
-            (J_submitted
-               {
-                 js_corr = corr;
-                 js_key = key;
-                 js_label = prep.pr_label;
-                 js_artifact = artifact;
-                 js_request = raw;
-                 js_dedup = dedup;
-               })
+        (* A completed job dedups only while its artifact survives on
+           disk; a deleted artifact means the work must be redone. *)
+        let e =
+          admit !state ~max_queue:cf.cf_max_queue
+            ~still_done:(fun j -> Sys.file_exists (artifact_path j.jb_artifact))
+            ~corr ~key ~label:prep.pr_label ~artifact ~request:raw
         in
-        if
-          Hashtbl.mem completed_tbl key
-          && Sys.file_exists
-               (Filename.concat cf.cf_artifact_dir (Hashtbl.find completed_tbl key))
-        then begin
-          submitted true;
-          incr sm_deduped;
-          event ~corr "job_deduped" [ ("label", Json.String prep.pr_label) ];
-          say "dedup (journal): %s" prep.pr_label
-        end
-        else if Hashtbl.mem active_keys key then begin
-          submitted true;
-          incr sm_deduped;
-          event ~corr "job_deduped" [ ("label", Json.String prep.pr_label) ];
-          say "dedup (queued): %s" prep.pr_label
-        end
-        else if List.length !pending >= cf.cf_max_queue then begin
-          journal_append jr (J_rejected { jx_corr = corr; jx_label = prep.pr_label });
-          incr sm_rejected;
-          Ocapi_obs.count "service.job.rejected";
-          event ~corr "job_rejected"
+        let extra =
+          match e with
+          | J_rejected _ ->
             [
               ("label", Json.String prep.pr_label);
               ("reason", Json.String (Ocapi_error.code_label Overloaded));
-            ];
-          say "rejected (overloaded): %s" prep.pr_label
-        end
-        else begin
-          submitted false;
-          incr seq;
-          enqueue
-            {
-              q_corr = corr;
-              q_key = key;
-              q_label = prep.pr_label;
-              q_artifact = artifact;
-              q_request = raw;
-              q_prio = request_prio raw;
-              q_seq = !seq;
-              q_crashes = 0;
-              q_ready_at = 0.;
-            };
-          event ~corr "job_submitted" [ ("label", Json.String prep.pr_label) ]
-        end)
+            ]
+          | _ -> []
+        in
+        commit ~extra e)
   in
   List.iter submit requests;
   (* Supervision proper. *)
@@ -764,31 +385,20 @@ let serve cf ~requests =
     | Some c -> Some (Random.State.make [| c.ch_seed |])
     | None -> None
   in
-  let completed_count = ref 0 in
-  let take_ready now =
-    let best = ref None in
-    List.iter
-      (fun j ->
-        if j.q_ready_at <= now then
-          match !best with
-          | Some b when (b.q_prio, b.q_seq) <= (j.q_prio, j.q_seq) -> ()
-          | _ -> best := Some j)
-      !pending;
-    match !best with
-    | Some j ->
-      pending := List.filter (fun x -> x != j) !pending;
-      Some j
-    | None -> None
-  in
+  let chaos_kills = ref 0 in
   let launch job =
-    let attempt = job.q_crashes + 1 in
-    journal_append jr (J_started { jt_corr = job.q_corr; jt_attempt = attempt });
-    event ~corr:job.q_corr "job_started"
-      [ ("label", Json.String job.q_label); ("attempt", Json.Int attempt) ];
-    let artifact_path = Filename.concat cf.cf_artifact_dir job.q_artifact in
+    let attempt = job.jb_crashes + 1 in
+    commit
+      ~extra:[ ("attempt", Json.Int attempt) ]
+      (J_started { jt_corr = job.jb_corr; jt_attempt = attempt });
     let argv =
       cf.cf_worker_cmd
-      @ [ "--request"; Json.to_string job.q_request; "--artifact"; artifact_path ]
+      @ [
+          "--request";
+          Json.to_string job.jb_request;
+          "--artifact";
+          artifact_path job.jb_artifact;
+        ]
       @ (match cf.cf_job_timeout with
         | Some t -> [ "--timeout"; Printf.sprintf "%g" t ]
         | None -> [])
@@ -807,9 +417,9 @@ let serve cf ~requests =
     let now = Unix.gettimeofday () in
     let deadline =
       match
-        match request_timeout job.q_request with
-        | Some t -> Some t
-        | None -> cf.cf_job_timeout
+        match number_field "timeout" job.jb_request with
+        | Ok (Some t) -> Some t
+        | _ -> cf.cf_job_timeout
       with
       | Some t -> Some (now +. t +. cf.cf_kill_grace)
       | None -> None
@@ -824,7 +434,6 @@ let serve cf ~requests =
         else None
       | _ -> None
     in
-    say "start [%s] %s (attempt %d/%d)" job.q_corr job.q_label attempt cf.cf_retries;
     {
       s_pid = pid;
       s_fd = r;
@@ -844,7 +453,8 @@ let serve cf ~requests =
     sl.s_last_hb <- Unix.gettimeofday ();
     if line = "hb" then ()
     else if line = "done" then sl.s_done <- true
-    else if starts_with "fail " line then sl.s_fail <- Some (parse_fail_line line)
+    else if String.starts_with ~prefix:"fail " line then
+      sl.s_fail <- Some (parse_fail_line line)
   in
   let read_slot sl =
     let bytes = Bytes.create 4096 in
@@ -875,22 +485,13 @@ let serve cf ~requests =
   in
   let classify sl status =
     let job = sl.s_job in
-    let artifact_path = Filename.concat cf.cf_artifact_dir job.q_artifact in
     (* "done" is printed only after the atomic rename, so the pair
        (done seen, artifact exists) is proof of completion even when
        our own chaos kill raced the worker's exit. *)
-    if sl.s_done && Sys.file_exists artifact_path then begin
-      journal_append jr
-        (J_completed { jd_corr = job.q_corr; jd_artifact = job.q_artifact });
-      Hashtbl.replace completed_tbl job.q_key job.q_artifact;
-      Hashtbl.remove active_keys job.q_key;
-      incr sm_completed;
-      Ocapi_obs.count "service.job.completed";
-      event ~corr:job.q_corr "job_completed" [ ("label", Json.String job.q_label) ];
-      say "done [%s] %s" job.q_corr job.q_label;
-      incr completed_count;
+    if sl.s_done && Sys.file_exists (artifact_path job.jb_artifact) then begin
+      commit (J_completed { jd_corr = job.jb_corr; jd_artifact = job.jb_artifact });
       match cf.cf_die_after with
-      | Some n when !completed_count >= n ->
+      | Some n when count !state "completed" - count at_start "completed" >= n ->
         (* The crash-testing failpoint: die the way a real crash does —
            no cleanup, no drain — and let the journal prove itself. *)
         Unix.kill (Unix.getpid ()) Sys.sigkill
@@ -901,14 +502,7 @@ let serve cf ~requests =
       | Unix.WEXITED c, Some (code, message), None when c = exit_failed ->
         (* A structured failure is the job's verdict, not the worker's:
            terminal, no retry. *)
-        journal_append jr
-          (J_failed { jf_corr = job.q_corr; jf_code = code; jf_message = message });
-        Hashtbl.remove active_keys job.q_key;
-        incr sm_failed;
-        Ocapi_obs.count "service.job.failed";
-        event ~corr:job.q_corr "job_failed"
-          [ ("label", Json.String job.q_label); ("code", Json.String code) ];
-        say "failed [%s] %s: %s: %s" job.q_corr job.q_label code message
+        commit (J_failed { jf_corr = job.jb_corr; jf_code = code; jf_message = message })
       | status, _, killed ->
         let reason =
           match killed with Some r -> r | None -> status_string status
@@ -917,68 +511,15 @@ let serve cf ~requests =
            completed branch above; only a kill that actually cost an
            attempt counts here. *)
         if reason = "chaos" then begin
-          incr sm_chaos_kills;
+          incr chaos_kills;
           Ocapi_obs.count "service.chaos.kills"
         end;
-        incr sm_crashes;
-        Ocapi_obs.count "service.worker.crashed";
-        journal_append jr
-          (J_crashed
-             { jc_corr = job.q_corr; jc_attempt = sl.s_attempt; jc_reason = reason });
-        event ~corr:job.q_corr "worker_crashed"
-          [
-            ("label", Json.String job.q_label);
-            ("attempt", Json.Int sl.s_attempt);
-            ("reason", Json.String reason);
-          ];
-        say "crash [%s] %s (attempt %d: %s)" job.q_corr job.q_label sl.s_attempt
-          reason;
-        job.q_crashes <- sl.s_attempt;
-        if sl.s_attempt >= cf.cf_retries then begin
-          (* Poisoned: this job has killed every worker sent at it. *)
-          let code = Ocapi_error.code_label Retries_exhausted in
-          journal_append jr
-            (J_failed
-               {
-                 jf_corr = job.q_corr;
-                 jf_code = code;
-                 jf_message =
-                   Printf.sprintf "poisoned after %d crashed attempts (last: %s)"
-                     sl.s_attempt reason;
-               });
-          Hashtbl.remove active_keys job.q_key;
-          incr sm_failed;
-          incr sm_poisoned;
-          Ocapi_obs.count "service.job.poisoned";
-          event ~corr:job.q_corr "job_failed"
-            [ ("label", Json.String job.q_label); ("code", Json.String code) ];
-          say "poisoned [%s] %s" job.q_corr job.q_label
-        end
-        else begin
-          let backoff =
-            backoff_delay ~base:cf.cf_backoff_base ~cap:cf.cf_backoff_cap
-              ~seed:cf.cf_backoff_seed ~corr:job.q_corr ~attempt:sl.s_attempt
-          in
-          journal_append jr
-            (J_retried
-               {
-                 jr_corr = job.q_corr;
-                 jr_attempt = sl.s_attempt + 1;
-                 jr_backoff = backoff;
-               });
-          incr sm_retries;
-          Ocapi_obs.count "service.job.retried";
-          event ~corr:job.q_corr "job_retried"
-            [
-              ("label", Json.String job.q_label);
-              ("attempt", Json.Int (sl.s_attempt + 1));
-              ("backoff", Json.Float backoff);
-            ];
-          say "retry [%s] %s in %.2fs (attempt %d/%d)" job.q_corr job.q_label
-            backoff (sl.s_attempt + 1) cf.cf_retries;
-          job.q_ready_at <- Unix.gettimeofday () +. backoff;
-          pending := !pending @ [ job ]
-        end
+        List.iter commit
+          (crash ~retries:cf.cf_retries
+             ~backoff:
+               (backoff_delay ~base:cf.cf_backoff_base ~cap:cf.cf_backoff_cap
+                  ~seed:cf.cf_backoff_seed ~corr:job.jb_corr)
+             ~corr:job.jb_corr ~attempt:sl.s_attempt ~reason)
     end
   in
   let running () = Array.exists Option.is_some slots in
@@ -995,19 +536,13 @@ let serve cf ~requests =
         (* 1. Fill free slots with ready work (unless draining). *)
         if not (Atomic.get drain) then begin
           let now = Unix.gettimeofday () in
-          let continue = ref true in
-          while !continue do
-            let free = ref None in
-            Array.iteri
-              (fun i s -> if !free = None && s = None then free := Some i)
-              slots;
-            match !free with
-            | None -> continue := false
-            | Some i -> (
-              match take_ready now with
-              | Some job -> slots.(i) <- Some (launch job)
-              | None -> continue := false)
-          done
+          Array.iteri
+            (fun i s ->
+              if Option.is_none s then
+                Option.iter
+                  (fun job -> slots.(i) <- Some (launch job))
+                  (next !state ~now))
+            slots
         end;
         (* 2. Wait for worker output (or just pass time). *)
         let fds =
@@ -1087,31 +622,30 @@ let serve cf ~requests =
             slots;
           aborted := true;
           finished := true;
-          say "aborted: %d job(s) left journaled for the next run"
-            (List.length !pending)
+          say "aborted: %d job(s) left journaled for the next run" (queued !state)
         end
         else if not (running ()) then begin
           if Atomic.get drain then begin
-            drained := !pending <> [];
+            drained := queued !state > 0;
             finished := true;
             if !drained then
-              say "drained: %d job(s) left journaled for the next run"
-                (List.length !pending)
+              say "drained: %d job(s) left journaled for the next run" (queued !state)
           end
-          else if !pending = [] then finished := true
+          else if queued !state = 0 then finished := true
         end
       done);
+  let n kind = count !state kind - count at_start kind in
   {
-    sm_submitted = !sm_submitted;
-    sm_deduped = !sm_deduped;
+    sm_submitted = List.length requests;
+    sm_deduped = n "deduped";
     sm_recovered;
-    sm_completed = !sm_completed;
-    sm_failed = !sm_failed;
-    sm_poisoned = !sm_poisoned;
-    sm_rejected = !sm_rejected;
-    sm_crashes = !sm_crashes;
-    sm_retries = !sm_retries;
-    sm_chaos_kills = !sm_chaos_kills;
+    sm_completed = n "completed";
+    sm_failed = n "failed";
+    sm_poisoned = n ("failed:" ^ Ocapi_error.code_label Retries_exhausted);
+    sm_rejected = n "rejected";
+    sm_crashes = n "crashed";
+    sm_retries = n "retried";
+    sm_chaos_kills = !chaos_kills;
     sm_drained = !drained;
     sm_aborted = !aborted;
     sm_seconds = Unix.gettimeofday () -. t0;

@@ -1,34 +1,31 @@
-(** The resilient campaign service: supervised worker {e processes},
-    retry with seeded exponential backoff, and a crash-recoverable
-    write-ahead job journal.
+(** The supervised campaign executor: worker {e processes}, retry with
+    seeded backoff, and a crash-recoverable write-ahead job journal.
 
-    [Ocapi_batch] runs a campaign on worker {e domains} of one process:
-    fast, deterministic — and fragile.  A segfaulting engine, an
-    OOM-killed worker, a hung job or a Ctrl-C loses the whole campaign
-    and its queue state.  This module is the resilience layer above it,
-    sharing the batch vocabulary (the same JSONL manifests, the same
-    {!Flow.Cache.key_of} dedup fingerprints via
-    {!Ocapi_batch.prepare_request}, the same canonical artifact bytes)
-    but farming execution out to independent OS-level worker processes
-    (the EDAptix model) under one supervising server:
+    One core, two executors: the job lifecycle — priority and FIFO
+    order, dedup, the retry budget and poisoning, correlation ids,
+    lifecycle events — is {!Ocapi_campaign}'s, shared with the
+    in-process executor {!Ocapi_batch}.  [Ocapi_batch] runs a campaign
+    on the domains of one process: fast, and fragile — a segfaulting
+    engine, an OOM-killed worker, a hung job or a Ctrl-C loses the
+    campaign.  This module runs the same jobs (the same manifests, the
+    same dedup keys via {!Ocapi_batch.prepare_request}, the same
+    canonical artifact bytes) in independent worker processes under
+    one supervising server:
 
     - {b Process isolation}: the server ([ocapi serve]) spawns
-      [ocapi worker] subprocesses, one job per process.  A worker that
-      crashes, is killed, or stops heartbeating takes down only its own
-      job; the server observes the death via [waitpid] and the
-      heartbeat pipe and requeues the job.
-    - {b Retry with backoff}: each job has a bounded attempt budget
-      ({!config.cf_retries}).  A crashed attempt is requeued after
-      {!backoff_delay} — exponential in the attempt number with
-      deterministic seeded jitter — and a job that kills every worker
-      sent at it is {e poisoned}: resolved [Failed] with code
-      [Retries_exhausted] instead of wedging the queue.
-    - {b Write-ahead journal}: every submission and state transition is
-      appended to [state_dir/journal.jsonl] {e before} it takes effect.
-      On restart {!replay} rebuilds the completed-job dedup store and
-      the pending set, so a server crash (or kill -9) loses no queue
-      state and finished work is never re-executed — across restarts
-      and across client populations sharing one state directory.
+      [ocapi worker] subprocesses, one job attempt per process.  A
+      worker that crashes, is killed, or stops heartbeating takes down
+      only its own attempt; the server observes the death via
+      [waitpid] and the heartbeat pipe and records a crash, which the
+      core retries after {!Ocapi_campaign.backoff_delay} or poisons
+      once {!config.cf_retries} attempts are spent.
+    - {b Write-ahead journal}: every transition ({!Ocapi_campaign.entry})
+      is appended to [state_dir/journal.jsonl] {e before} it is
+      applied.  On restart {!Ocapi_campaign.replay} folds the journal
+      back into the core state, so a server crash (or kill -9) loses no
+      queue state and finished work is never re-executed — across
+      restarts and across client populations sharing one state
+      directory.
     - {b Graceful degradation}: SIGTERM/SIGINT enter drain mode (finish
       running jobs, launch nothing new, journal everything, exit); a
       second signal aborts hard — which is safe, because the journal
@@ -43,107 +40,29 @@
       tree byte-identical to an undisturbed serial run — the property
       [scripts/crash_recovery_gate.sh] checks in CI. *)
 
-(** {1 Retry backoff} *)
-
-(** [backoff_delay ~base ~cap ~seed ~corr ~attempt] is the requeue
-    delay in seconds after failed attempt number [attempt] (1-based):
-    [base * 2{^attempt-1}], scaled by a jitter factor in [[1.0, 1.5)]
-    drawn deterministically from [(seed, corr, attempt)], and clamped
-    to [cap].  Deterministic, so a chaos campaign's schedule reproduces
-    from its seed; jittered, so a crashed fleet does not retry in
-    lockstep.
-    @raise Invalid_argument on [base <= 0.], [cap < base] or
-    [attempt < 1]. *)
-val backoff_delay :
-  base:float -> cap:float -> seed:int -> corr:string -> attempt:int -> float
-
 (** {1 The job journal}
 
-    A JSONL write-ahead log: one JSON object per line, appended (and
-    flushed) before the transition it records takes effect, so the
-    on-disk journal is never behind the server's in-memory state.  A
-    line interrupted mid-write by a crash is tolerated by
-    {!journal_load} (a truncated {e final} line is dropped).
+    JSONL, one {!Ocapi_campaign.entry_json} object per line, appended
+    and flushed before the transition it records is applied. *)
 
-    Schema, by ["ev"] field:
-    {v
-{"ev":"submitted","corr":C,"key":K,"label":L,"artifact":F,"dedup":B,"request":{...}}
-{"ev":"started","corr":C,"attempt":N}
-{"ev":"crashed","corr":C,"attempt":N,"reason":R}
-{"ev":"retried","corr":C,"attempt":N,"backoff":S}
-{"ev":"completed","corr":C,"artifact":F}
-{"ev":"failed","corr":C,"code":E,"message":M}
-{"ev":"rejected","corr":C,"label":L}
-    v} *)
-
-type entry =
-  | J_submitted of {
-      js_corr : string;
-      js_key : string;  (** full {!Flow.Cache.key_of} dedup key *)
-      js_label : string;
-      js_artifact : string;  (** artifact file name (not path) *)
-      js_request : Ocapi_obs.Json.t;  (** original manifest object *)
-      js_dedup : bool;
-          (** served by an existing execution; replay skips it *)
-    }
-  | J_started of { jt_corr : string; jt_attempt : int }
-  | J_crashed of { jc_corr : string; jc_attempt : int; jc_reason : string }
-  | J_retried of { jr_corr : string; jr_attempt : int; jr_backoff : float }
-      (** [jr_attempt] is the {e next} attempt number *)
-  | J_completed of { jd_corr : string; jd_artifact : string }
-  | J_failed of { jf_corr : string; jf_code : string; jf_message : string }
-  | J_rejected of { jx_corr : string; jx_label : string }
-
-val entry_json : entry -> Ocapi_obs.Json.t
-val entry_of_json : Ocapi_obs.Json.t -> (entry, string) result
-
-(** An open journal (append channel, line-buffered with an explicit
-    flush per entry). *)
 type journal
 
 (** [journal_open path] opens (creating if missing) the journal for
     appending. *)
 val journal_open : string -> journal
 
-val journal_append : journal -> entry -> unit
+val journal_append : journal -> Ocapi_campaign.entry -> unit
 val journal_close : journal -> unit
 
 (** [journal_load path] reads a journal back.  A missing file is
-    [Ok []]; blank lines are skipped; an unparsable {e final} line is
-    dropped (the crash-interrupted append); an unparsable interior
-    line is an error. *)
-val journal_load : string -> (entry list, string) result
+    [Ok []]; blank lines and unknown event kinds are skipped; an
+    unparsable {e final} line is dropped (the crash-interrupted
+    append); an unparsable interior line is an error. *)
+val journal_load : string -> (Ocapi_campaign.entry list, string) result
 
-(** {1 Replay} *)
-
-(** A journaled job with no terminal record: it must run (again) after
-    a restart.  [p_attempts] counts the {e worker-crash} attempts
-    already consumed (journal [crashed] records); a server death
-    mid-run consumes no budget — the job was not at fault. *)
-type pending = {
-  p_corr : string;
-  p_key : string;
-  p_label : string;
-  p_artifact : string;
-  p_request : Ocapi_obs.Json.t;
-  p_attempts : int;
-}
-
-type recovered = {
-  rv_completed : (string * string) list;
-      (** (dedup key, artifact file) of jobs that finished [Completed];
-          resubmissions of these keys dedup instead of re-executing *)
-  rv_failed : (string * string) list;
-      (** (dedup key, error code) terminal failures; {e not} a dedup
-          source — a failed job stays resubmittable, as in the batch
-          service *)
-  rv_pending : pending list;  (** in original submission order *)
-}
-
-(** Fold a journal into the state a restarting server resumes from.
-    Pure; the inverse direction (state to journal) is {!serve}'s
-    write-ahead discipline. *)
-val replay : entry list -> recovered
+(** The state a restarting server resumes from:
+    {!Ocapi_campaign.replay} seen through {!Ocapi_campaign.recovered}. *)
+val replay : Ocapi_campaign.entry list -> Ocapi_campaign.recovered
 
 (** {1 Configuration} *)
 
@@ -218,14 +137,12 @@ type summary = {
 (** [serve config ~requests] runs the service until the queue drains
     (or a signal drains/aborts it): replays the journal, admits
     [requests] (raw manifest objects — unknown fields such as ["chaos"]
-    ride along into the journal and the worker), supervises up to
-    [cf_workers] worker processes, and returns the summary.  Installs
-    SIGTERM/SIGINT handlers for the duration.  Lifecycle events
-    ([job_submitted], [job_started], [worker_crashed], [job_retried],
-    [job_completed], [job_failed], [job_rejected], [job_deduped]) are
-    emitted into {!Ocapi_obs.Events} when that log is enabled, joined
-    on the same correlation ids as the batch service and the trace
-    spans. *)
+    ride along into the journal and the worker) with one admission
+    event each, in order, supervises up to [cf_workers] worker
+    processes, and returns the summary.  Installs SIGTERM/SIGINT
+    handlers for the duration.  Lifecycle events are
+    {!Ocapi_campaign.emit}'s, joined on the same correlation ids as the
+    batch executor and the trace spans. *)
 val serve : config -> requests:Ocapi_obs.Json.t list -> summary
 
 (** {1 The worker side} *)
@@ -261,9 +178,7 @@ val worker_main :
 
 (** {1 Manifests} *)
 
-(** [read_manifest path] parses a JSONL manifest into raw objects,
-    skipping blank lines and [#] comments ([Error] carries the 1-based
-    line number).  Unlike {!Ocapi_batch.read_manifest} the objects are
-    kept raw: the journal stores them verbatim and service-only fields
-    (["chaos"]) survive the round trip. *)
+(** [read_manifest path] is {!Ocapi_campaign.read_manifest} keeping
+    the objects raw: the journal stores them verbatim and service-only
+    fields (["chaos"]) survive the round trip. *)
 val read_manifest : string -> (Ocapi_obs.Json.t list, string) result

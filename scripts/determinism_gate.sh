@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # CI determinism gate: campaign reports and batch artifact trees must
-# be bit-identical between a serial run and a --domains 2 run.  This
-# guards the core claim of the parallel runner and the batch service —
-# extra worker domains change wall time, never results.
+# be bit-identical between a serial run and a --domains 2 run, and the
+# batch and serve executors must write the same artifact tree.  This
+# guards the core claim of the parallel runner and the campaign
+# executors — extra worker domains or processes change wall time, never
+# results.
 #
 # Usage: scripts/determinism_gate.sh   (after `dune build`)
 set -euo pipefail
@@ -108,6 +110,20 @@ if diff -r "$work/art-1" "$work/art-2" >/dev/null; then
 else
   echo "FAIL batch artifacts: serial and --domains 2 trees differ" >&2
   diff -r "$work/art-1" "$work/art-2" | head -10 >&2 || true
+  fail=1
+fi
+
+# 4. Batch vs serve: the same manifest through the in-process executor
+#    and through two supervised worker processes must write the same
+#    artifact tree, file for file and byte for byte.
+"$OCAPI" serve --manifest examples/jobs.jsonl --workers 2 \
+  --state-dir "$work/serve-state" --artifacts "$work/art-serve" \
+  --quiet >/dev/null
+if diff -r "$work/art-1" "$work/art-serve" >/dev/null; then
+  echo "ok   batch vs serve artifacts ($(ls "$work/art-serve" | wc -l) files)"
+else
+  echo "FAIL batch vs serve artifacts: the executors' trees differ" >&2
+  diff -r "$work/art-1" "$work/art-serve" | head -10 >&2 || true
   fail=1
 fi
 

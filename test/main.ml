@@ -28,6 +28,7 @@ let () =
       ("ledger", Test_ledger.suite);
       ("fault", Test_fault.suite);
       ("parallel", Test_parallel.suite);
+      ("campaign", Test_campaign.suite);
       ("batch", Test_batch.suite);
       ("service", Test_service.suite);
       ("diff", Test_diff.suite);

@@ -514,8 +514,43 @@ let test_hist_quantile () =
     (Float.is_nan (Ocapi_obs.hist_quantile empty 0.5));
   Ocapi_obs.reset ()
 
+(* Concurrent writers of one path — domains here, processes sharing a
+   native cache in production — must each succeed, and the file must end
+   up whole: every writer gets its own temp file. *)
+let test_atomic_write_concurrent () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ocapi-atomic-%d" (Unix.getpid ()))
+  in
+  Ocapi_obs.mkdir_p (Filename.concat dir "sub");
+  let path = Filename.concat dir "sub/target.bin" in
+  let contents = String.init 200_000 (fun i -> Char.chr (i mod 251)) in
+  let writer () =
+    List.init 25 (fun _ ->
+        match Ocapi_obs.write_file_atomic ~path contents with
+        | () -> true
+        | exception Sys_error _ -> false)
+  in
+  let results = List.init 4 (fun _ -> Domain.spawn writer) |> List.map Domain.join in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun f -> Sys.remove (Filename.concat dir ("sub/" ^ f)))
+        (Sys.readdir (Filename.concat dir "sub"));
+      Sys.rmdir (Filename.concat dir "sub");
+      Sys.rmdir dir)
+    (fun () ->
+      Alcotest.(check bool) "every write succeeded" true
+        (List.for_all (List.for_all Fun.id) results);
+      Alcotest.(check bool) "the file is whole" true
+        (Ocapi_obs.read_whole_file path = contents);
+      Alcotest.(check (array string)) "no temp file left behind" [| "target.bin" |]
+        (Sys.readdir (Filename.concat dir "sub")))
+
 let suite =
   [
+    Alcotest.test_case "atomic writes from concurrent domains" `Quick
+      test_atomic_write_concurrent;
     Alcotest.test_case "counter and gauge semantics" `Quick test_counters;
     Alcotest.test_case "Json.of_string round trip" `Quick
       test_json_of_string_roundtrip;

@@ -80,7 +80,7 @@ let config ~name ~script =
 
 let test_backoff () =
   let d ~attempt =
-    Ocapi_service.backoff_delay ~base:1.0 ~cap:1e9 ~seed:3 ~corr:"abc" ~attempt
+    Ocapi_campaign.backoff_delay ~base:1.0 ~cap:1e9 ~seed:3 ~corr:"abc" ~attempt
   in
   Alcotest.(check (float 0.0)) "deterministic" (d ~attempt:2) (d ~attempt:2);
   let in_range x lo hi = x >= lo && x < hi in
@@ -88,23 +88,23 @@ let test_backoff () =
   Alcotest.(check bool) "attempt 2 in [2,3)" true (in_range (d ~attempt:2) 2.0 3.0);
   Alcotest.(check bool) "attempt 3 in [4,6)" true (in_range (d ~attempt:3) 4.0 6.0);
   Alcotest.(check bool) "jitter decorrelates jobs" true
-    (Ocapi_service.backoff_delay ~base:1.0 ~cap:1e9 ~seed:3 ~corr:"abc"
+    (Ocapi_campaign.backoff_delay ~base:1.0 ~cap:1e9 ~seed:3 ~corr:"abc"
        ~attempt:1
-    <> Ocapi_service.backoff_delay ~base:1.0 ~cap:1e9 ~seed:3 ~corr:"xyz"
+    <> Ocapi_campaign.backoff_delay ~base:1.0 ~cap:1e9 ~seed:3 ~corr:"xyz"
          ~attempt:1);
   Alcotest.(check (float 0.0)) "cap clamps" 2.0
-    (Ocapi_service.backoff_delay ~base:1.0 ~cap:2.0 ~seed:3 ~corr:"abc"
+    (Ocapi_campaign.backoff_delay ~base:1.0 ~cap:2.0 ~seed:3 ~corr:"abc"
        ~attempt:30);
   Alcotest.check_raises "attempt 0 rejected"
-    (Invalid_argument "Ocapi_service.backoff_delay: attempt < 1") (fun () ->
+    (Invalid_argument "Ocapi_campaign.backoff_delay: attempt < 1") (fun () ->
       ignore
-        (Ocapi_service.backoff_delay ~base:1.0 ~cap:2.0 ~seed:3 ~corr:"a"
+        (Ocapi_campaign.backoff_delay ~base:1.0 ~cap:2.0 ~seed:3 ~corr:"a"
            ~attempt:0))
 
 (* --- journal -------------------------------------------------------------- *)
 
 let sample_entries =
-  Ocapi_service.
+  Ocapi_campaign.
     [
       J_submitted
         {
@@ -126,11 +126,11 @@ let sample_entries =
 let test_journal_roundtrip () =
   List.iter
     (fun e ->
-      let line = Json.to_string (Ocapi_service.entry_json e) in
+      let line = Json.to_string (Ocapi_campaign.entry_json e) in
       match Json.of_string line with
       | Error m -> Alcotest.failf "reparse: %s" m
       | Ok j -> (
-        match Ocapi_service.entry_of_json j with
+        match Ocapi_campaign.entry_of_json j with
         | Error m -> Alcotest.failf "decode: %s" m
         | Ok e' ->
           Alcotest.(check bool) ("round-trip: " ^ line) true (e = e')))
@@ -164,7 +164,7 @@ let test_journal_torn_lines () =
       (* A line torn by a crash mid-append: tolerated iff final. *)
       write [ good; {|{"ev":"comple|} ];
       (match Ocapi_service.journal_load path with
-      | Ok [ Ocapi_service.J_started _ ] -> ()
+      | Ok [ Ocapi_campaign.J_started _ ] -> ()
       | Ok _ -> Alcotest.fail "torn final line should be dropped"
       | Error m -> Alcotest.failf "torn final line should not error: %s" m);
       write [ {|{"ev":"comple|}; good ];
@@ -175,7 +175,7 @@ let test_journal_torn_lines () =
          replays on an older one. *)
       write [ good; {|{"ev":"frobnicated","corr":"c9"}|}; good ];
       (match Ocapi_service.journal_load path with
-      | Ok [ Ocapi_service.J_started _; Ocapi_service.J_started _ ] -> ()
+      | Ok [ Ocapi_campaign.J_started _; Ocapi_campaign.J_started _ ] -> ()
       | Ok _ -> Alcotest.fail "unknown events should be skipped"
       | Error m -> Alcotest.failf "unknown events should not error: %s" m);
       (* A missing journal is an empty one. *)
@@ -187,7 +187,7 @@ let test_journal_torn_lines () =
 (* --- replay --------------------------------------------------------------- *)
 
 let submitted ?(dedup = false) corr key =
-  Ocapi_service.J_submitted
+  Ocapi_campaign.J_submitted
     {
       js_corr = corr;
       js_key = key;
@@ -198,7 +198,8 @@ let submitted ?(dedup = false) corr key =
     }
 
 let test_replay () =
-  let open Ocapi_service in
+  let open Ocapi_campaign in
+  let replay = Ocapi_service.replay in
   let r =
     replay
       [
@@ -319,7 +320,7 @@ let test_serve_poison () =
         Alcotest.(check bool) "journal records retries-exhausted" true
           (List.exists
              (function
-               | Ocapi_service.J_failed { jf_code = "retries-exhausted"; _ } ->
+               | Ocapi_campaign.J_failed { jf_code = "retries-exhausted"; _ } ->
                  true
                | _ -> false)
              entries))
@@ -350,7 +351,7 @@ let test_serve_heartbeat_backstop () =
         Alcotest.(check bool) "crash reason is the heartbeat kill" true
           (List.exists
              (function
-               | Ocapi_service.J_crashed { jc_reason = "heartbeat"; _ } -> true
+               | Ocapi_campaign.J_crashed { jc_reason = "heartbeat"; _ } -> true
                | _ -> false)
              entries))
 
@@ -396,7 +397,7 @@ let test_serve_recovery_exactly_once () =
       in
       Ocapi_service.journal_append jr (submitted "c1" "k1");
       Ocapi_service.journal_append jr
-        (Ocapi_service.J_started { jt_corr = "c1"; jt_attempt = 1 });
+        (Ocapi_campaign.J_started { jt_corr = "c1"; jt_attempt = 1 });
       Ocapi_service.journal_close jr;
       let s = serve_quiet cfg ~requests:[] in
       Alcotest.(check int) "one job recovered" 1 s.Ocapi_service.sm_recovered;
