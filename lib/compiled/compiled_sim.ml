@@ -65,130 +65,16 @@ let resize_fn ?on_overflow ~round ~overflow (src : Fixed.format)
     fun m -> if m = 0L then 0L else raise (exn ())
   else fun m -> ovf (shl m (-k))
 
-(* Alignment shifts for a binary operation whose common fraction is the
-   max of the operand fractions. *)
-let align_shifts (fa : Fixed.format) (fb : Fixed.format) =
-  let frac = max fa.Fixed.frac fb.Fixed.frac in
-  (frac - fa.Fixed.frac, frac - fb.Fixed.frac)
-
-(* --- slot allocation ---------------------------------------------------- *)
-
-type alloc = {
-  mutable next_slot : int;
-  net_slot : (string, int) Hashtbl.t;  (* net name -> slot *)
-  net_fmt : (string, Fixed.format) Hashtbl.t;
-  net_stamp : (string, int) Hashtbl.t;  (* net name -> stamp index *)
-  reg_cur : (int, int) Hashtbl.t;  (* Signal.Reg.id -> slot *)
-  reg_next : (int, int) Hashtbl.t;
-  reg_init : (int, int64 * int) Hashtbl.t;  (* Reg.id -> (init, cur slot) *)
-  node_slot : (int, int) Hashtbl.t;  (* Signal node id -> slot *)
-  sink_net : (string * string, string) Hashtbl.t;  (* (comp, in port) -> net *)
-  driver_net : (string * string, string) Hashtbl.t;  (* (comp, out port) *)
-}
-
-let fresh a =
-  let s = a.next_slot in
-  a.next_slot <- s + 1;
-  s
-
-let slot_of_node a n =
-  match Hashtbl.find_opt a.node_slot (Signal.id n) with
-  | Some s -> s
-  | None ->
-    let s = fresh a in
-    Hashtbl.replace a.node_slot (Signal.id n) s;
-    s
-
-(* Net formats: primary inputs and untimed ports declare theirs; timed
-   outputs take the format of the producing expression, which must agree
-   across all SFGs that produce the port. *)
-let compute_net_formats a sys =
-  let set net fmt =
-    match Hashtbl.find_opt a.net_fmt net with
-    | None -> Hashtbl.replace a.net_fmt net fmt
-    | Some f ->
-      if not (Fixed.equal_format f fmt) then
-        unsupported "net %s is driven with inconsistent formats %s and %s" net
-          (Fixed.format_to_string f) (Fixed.format_to_string fmt)
-  in
-  List.iter
-    (fun (name, fmt, _) ->
-      match Hashtbl.find_opt a.driver_net (name, "out") with
-      | Some net -> set net fmt
-      | None -> ())
-    (Cycle_system.primary_inputs sys);
-  List.iter
-    (fun (name, k) ->
-      List.iter
-        (fun (port, _) ->
-          match Hashtbl.find_opt a.driver_net (name, port) with
-          | Some net -> set net (Dataflow.Kernel.port_format k port)
-          | None -> ())
-        k.Dataflow.Kernel.k_outputs)
-    (Cycle_system.untimed_components sys);
-  List.iter
-    (fun (cname, fsm) ->
-      List.iter
-        (fun sfg ->
-          List.iter
-            (fun (port, e) ->
-              match Hashtbl.find_opt a.driver_net (cname, port) with
-              | Some net -> set net (Signal.fmt e)
-              | None -> ())
-            (Sfg.outputs sfg))
-        (Fsm.all_sfgs fsm))
-    (Cycle_system.timed_components sys)
-
-(* --- node classification: does a node's cone read an SFG input? -------- *)
-
-(* NOTE: every child must be visited even when the answer is already
-   known — short-circuiting would leave siblings unclassified, and an
-   unclassified input-dependent node would default to block A and read
-   stale values.  Hence the let-bound disjunctions. *)
-let classify_nodes roots =
-  let cls : (int, bool) Hashtbl.t = Hashtbl.create 256 in
-  let rec go n =
-    match Hashtbl.find_opt cls (Signal.id n) with
-    | Some b -> b
-    | None ->
-      let b =
-        match Signal.op n with
-        | Signal.Input_read _ -> true
-        | Signal.Const _ | Signal.Reg_read _ -> false
-        | Signal.Neg x | Signal.Abs x | Signal.Not x
-        | Signal.Resize (_, _, x)
-        | Signal.Rom_read (_, x)
-        | Signal.Shift_left (x, _)
-        | Signal.Shift_right (x, _) -> go x
-        | Signal.Add (x, y) | Signal.Sub (x, y) | Signal.Mul (x, y)
-        | Signal.And (x, y) | Signal.Or (x, y) | Signal.Xor (x, y)
-        | Signal.Eq (x, y) | Signal.Lt (x, y) | Signal.Le (x, y) ->
-          let bx = go x in
-          let by = go y in
-          bx || by
-        | Signal.Mux (s, x, y) ->
-          let bs = go s in
-          let bx = go x in
-          let by = go y in
-          bs || bx || by
-      in
-      Hashtbl.replace cls (Signal.id n) b;
-      b
-  in
-  List.iter (fun r -> ignore (go r)) roots;
-  fun n ->
-    match Hashtbl.find_opt cls (Signal.id n) with
-    | Some b -> b
-    | None -> false
+let align_shifts = Program_layout.align_shifts
 
 (* --- statement compilation ---------------------------------------------- *)
 
 (* Compile the statement computing node [n] into [values].(slot n).
    [cycle_ref] is read lazily so overflow diagnostics carry the cycle of
    the failing step, not of compilation. *)
-let node_statement a (values : int64 array) (cycle_ref : int ref) comp_name n =
-  let dst = slot_of_node a n in
-  let s x = slot_of_node a x in
+let node_statement l (values : int64 array) (cycle_ref : int ref) comp_name n =
+  let dst = Program_layout.node_slot l n in
+  let s x = Program_layout.node_slot l x in
   let nf = Signal.fmt n in
   let overflow_diag dst_fmt () =
     Ocapi_error.Error
@@ -201,17 +87,13 @@ let node_statement a (values : int64 array) (cycle_ref : int ref) comp_name n =
   | Signal.Const v ->
     let m = Fixed.mantissa v in
     fun () -> values.(dst) <- m
-  | Signal.Input_read i -> begin
-    match Hashtbl.find_opt a.sink_net (comp_name, Signal.Input.name i) with
-    | Some net ->
-      let src = Hashtbl.find a.net_slot net in
-      fun () -> values.(dst) <- values.(src)
-    | None ->
-      unsupported "compiled: input %s.%s is not connected to any net"
-        comp_name (Signal.Input.name i)
-  end
+  | Signal.Input_read i ->
+    let src =
+      Option.get (Program_layout.input_net l ~comp:comp_name (Signal.Input.name i))
+    in
+    fun () -> values.(dst) <- values.(src)
   | Signal.Reg_read r ->
-    let src = Hashtbl.find a.reg_cur (Signal.Reg.id r) in
+    let src = Program_layout.reg_slot l r in
     fun () -> values.(dst) <- values.(src)
   | Signal.Add (x, y) ->
     let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
@@ -307,7 +189,7 @@ let node_statement a (values : int64 array) (cycle_ref : int ref) comp_name n =
 
 (* Compile a pure (register/constant-only) expression to a value closure;
    used for FSM guards, which may not read SFG inputs. *)
-let rec compile_pure a (values : int64 array) e : unit -> int64 =
+let rec compile_pure l (values : int64 array) e : unit -> int64 =
   let nf = Signal.fmt e in
   match Signal.op e with
   | Signal.Const v ->
@@ -315,78 +197,81 @@ let rec compile_pure a (values : int64 array) e : unit -> int64 =
     fun () -> m
   | Signal.Input_read i -> unsupported "guard reads input %s" (Signal.Input.name i)
   | Signal.Reg_read r ->
-    let src = Hashtbl.find a.reg_cur (Signal.Reg.id r) in
+    let src = Program_layout.reg_slot l r in
     fun () -> values.(src)
   | Signal.Add (x, y) ->
     let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-    let fx = compile_pure a values x and fy = compile_pure a values y in
+    let fx = compile_pure l values x and fy = compile_pure l values y in
     fun () -> Int64.add (shl (fx ()) ka) (shl (fy ()) kb)
   | Signal.Sub (x, y) ->
     let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-    let fx = compile_pure a values x and fy = compile_pure a values y in
+    let fx = compile_pure l values x and fy = compile_pure l values y in
     fun () -> Int64.sub (shl (fx ()) ka) (shl (fy ()) kb)
   | Signal.Mul (x, y) ->
-    let fx = compile_pure a values x and fy = compile_pure a values y in
+    let fx = compile_pure l values x and fy = compile_pure l values y in
     fun () -> Int64.mul (fx ()) (fy ())
   | Signal.Neg x ->
-    let fx = compile_pure a values x in
+    let fx = compile_pure l values x in
     fun () -> Int64.neg (fx ())
   | Signal.Abs x ->
-    let fx = compile_pure a values x in
+    let fx = compile_pure l values x in
     fun () -> Int64.abs (fx ())
   | Signal.And (x, y) ->
     let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
     let wrap = wrap_fn nf in
-    let fx = compile_pure a values x and fy = compile_pure a values y in
+    let fx = compile_pure l values x and fy = compile_pure l values y in
     fun () -> wrap (Int64.logand (shl (fx ()) ka) (shl (fy ()) kb))
   | Signal.Or (x, y) ->
     let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
     let wrap = wrap_fn nf in
-    let fx = compile_pure a values x and fy = compile_pure a values y in
+    let fx = compile_pure l values x and fy = compile_pure l values y in
     fun () -> wrap (Int64.logor (shl (fx ()) ka) (shl (fy ()) kb))
   | Signal.Xor (x, y) ->
     let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
     let wrap = wrap_fn nf in
-    let fx = compile_pure a values x and fy = compile_pure a values y in
+    let fx = compile_pure l values x and fy = compile_pure l values y in
     fun () -> wrap (Int64.logxor (shl (fx ()) ka) (shl (fy ()) kb))
   | Signal.Not x ->
     let wrap = wrap_fn nf in
-    let fx = compile_pure a values x in
+    let fx = compile_pure l values x in
     fun () -> wrap (Int64.lognot (fx ()))
   | Signal.Eq (x, y) ->
     let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-    let fx = compile_pure a values x and fy = compile_pure a values y in
+    let fx = compile_pure l values x and fy = compile_pure l values y in
     fun () -> if Int64.equal (shl (fx ()) ka) (shl (fy ()) kb) then 1L else 0L
   | Signal.Lt (x, y) ->
     let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-    let fx = compile_pure a values x and fy = compile_pure a values y in
+    let fx = compile_pure l values x and fy = compile_pure l values y in
     fun () -> if shl (fx ()) ka < shl (fy ()) kb then 1L else 0L
   | Signal.Le (x, y) ->
     let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
-    let fx = compile_pure a values x and fy = compile_pure a values y in
+    let fx = compile_pure l values x and fy = compile_pure l values y in
     fun () -> if shl (fx ()) ka <= shl (fy ()) kb then 1L else 0L
   | Signal.Mux (sel, x, y) ->
-    let fs = compile_pure a values sel in
+    let fs = compile_pure l values sel in
     let rx = resize_fn ~round:Fixed.Truncate ~overflow:Fixed.Wrap (Signal.fmt x) nf in
     let ry = resize_fn ~round:Fixed.Truncate ~overflow:Fixed.Wrap (Signal.fmt y) nf in
-    let fx = compile_pure a values x and fy = compile_pure a values y in
+    let fx = compile_pure l values x and fy = compile_pure l values y in
     fun () -> if fs () <> 0L then rx (fx ()) else ry (fy ())
   | Signal.Resize (round, overflow, x) ->
     let rz = resize_fn ~round ~overflow (Signal.fmt x) nf in
-    let fx = compile_pure a values x in
+    let fx = compile_pure l values x in
     fun () -> rz (fx ())
   | Signal.Rom_read (r, idx) ->
     let len = Signal.Rom.size r in
     let contents = Array.init len (fun i -> Fixed.mantissa (Signal.Rom.get r i)) in
     let frac = (Signal.fmt idx).Fixed.frac in
-    let fi = compile_pure a values idx in
+    let fi = compile_pure l values idx in
     if frac <= 0 then fun () -> contents.(Int64.to_int (shl (fi ()) (-frac)) mod len)
     else
       let div = Int64.shift_left 1L (min frac 62) in
       fun () -> contents.(Int64.to_int (Int64.div (fi ()) div) mod len)
-  | Signal.Shift_left (x, _) | Signal.Shift_right (x, _) -> compile_pure a values x
+  | Signal.Shift_left (x, _) | Signal.Shift_right (x, _) -> compile_pure l values x
 
 (* --- compiled program structures ---------------------------------------- *)
+
+(* Net [i]'s value slot and stamp are both [i] (the layout contract), so
+   net-facing records carry one index. *)
 
 type transition_code = {
   tc_block_a : (unit -> unit) array;
@@ -405,32 +290,18 @@ type comp_code = {
   cc_transitions : transition_code array;
 }
 
-type kernel_code = {
-  kc_kernel : Dataflow.Kernel.t;
-  kc_inputs : (string * int * Fixed.format) list;  (* port, slot, fmt *)
-  kc_outputs : (string * int * int) list;  (* port, slot, stamp *)
-}
-
 type probe_code = {
   pc_name : string;
-  pc_slot : int;
-  pc_stamp : int;
+  pc_net : int;
   pc_fmt : Fixed.format;
   mutable pc_history : (int * Fixed.t) list;  (* reversed *)
-}
-
-type stim_code = {
-  st_fn : int -> Fixed.t option;
-  st_slot : int;
-  st_stamp : int;
 }
 
 (* Optional per-net value recording (waveform dumping from the compiled
    engine): one record per net whose carried format is known. *)
 type trace_rec = {
   trc_name : string;
-  trc_slot : int;
-  trc_stamp : int;
+  trc_net : int;
   trc_fmt : Fixed.format;
   mutable trc_hist : (int * Fixed.t) list;  (* reversed *)
 }
@@ -441,8 +312,8 @@ type t = {
   cycle_ref : int ref;  (* captured by output-store statements *)
   mutable cycle : int;
   comps : comp_code array;
-  b_schedule : (int, kernel_code) Either.t array;
-  stims : stim_code array;
+  b_schedule : (int, Program_layout.kernel) Either.t array;
+  stims : Program_layout.stim array;
   probes : probe_code array;
   reg_inits : (int64 * int) array;
   (* Register exposure for fault injection: (name, format, cur slot) in
@@ -481,364 +352,95 @@ let op_kind_name n =
 
 let compile sys =
   let t_compile = Ocapi_obs.span_begin () in
-  let a =
-    {
-      next_slot = 0;
-      net_slot = Hashtbl.create 64;
-      net_fmt = Hashtbl.create 64;
-      net_stamp = Hashtbl.create 64;
-      reg_cur = Hashtbl.create 64;
-      reg_next = Hashtbl.create 64;
-      reg_init = Hashtbl.create 64;
-      node_slot = Hashtbl.create 1024;
-      sink_net = Hashtbl.create 64;
-      driver_net = Hashtbl.create 64;
-    }
-  in
-  let nets = Cycle_system.nets sys in
-  List.iteri
-    (fun i (net_name, (dc, dp), sinks) ->
-      Hashtbl.replace a.net_slot net_name (fresh a);
-      Hashtbl.replace a.net_stamp net_name i;
-      Hashtbl.replace a.driver_net (dc, dp) net_name;
-      List.iter
-        (fun (sc, sp) -> Hashtbl.replace a.sink_net (sc, sp) net_name)
-        sinks)
-    nets;
-  List.iter
-    (fun r ->
-      let id = Signal.Reg.id r in
-      let cur = fresh a and nxt = fresh a in
-      Hashtbl.replace a.reg_cur id cur;
-      Hashtbl.replace a.reg_next id nxt;
-      Hashtbl.replace a.reg_init id (Fixed.mantissa (Signal.Reg.init r), cur))
-    (Cycle_system.all_regs sys);
-  compute_net_formats a sys;
-  let all_timed = Cycle_system.timed_components sys in
-  (* Pre-allocate node slots so the values array can be sized; when
-     telemetry is on, also tally the static operator mix (each unique
-     expression node once). *)
-  let op_seen = Hashtbl.create 256 in
-  List.iter
-    (fun (_, fsm) ->
-      List.iter
-        (fun tr ->
-          List.iter
-            (fun sfg ->
-              List.iter
-                (fun root ->
-                  Signal.fold_dag root ~init:() ~f:(fun () n ->
-                      ignore (slot_of_node a n);
-                      if
-                        Ocapi_obs.enabled ()
-                        && not (Hashtbl.mem op_seen (Signal.id n))
-                      then begin
-                        Hashtbl.add op_seen (Signal.id n) ();
-                        Ocapi_obs.count ("compiled.ops." ^ op_kind_name n)
-                      end))
-                (List.map snd (Sfg.outputs sfg) @ List.map snd (Sfg.assigns sfg)))
-            tr.Fsm.t_actions)
-        (Fsm.transitions fsm))
-    all_timed;
-  let values = Array.make (max 1 a.next_slot) 0L in
-  let stamps = Array.make (max 1 (List.length nets)) (-1) in
-  let cycle_ref = ref 0 in
-  let reg_inits =
-    Hashtbl.fold (fun _ pair acc -> pair :: acc) a.reg_init []
-    |> Array.of_list
-  in
-  Array.iter (fun (init, cur) -> values.(cur) <- init) reg_inits;
-  let n_statements = ref 0 in
-  let b_written_nets : (string, string) Hashtbl.t = Hashtbl.create 64 in
-  let b_read_by_comp : (string, (string, unit) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let note_b_read comp net =
-    let tbl =
-      match Hashtbl.find_opt b_read_by_comp comp with
-      | Some t -> t
-      | None ->
-        let t = Hashtbl.create 8 in
-        Hashtbl.replace b_read_by_comp comp t;
-        t
-    in
-    Hashtbl.replace tbl net ()
-  in
-  let compile_transition cname tr =
-    let roots =
-      List.concat_map
-        (fun sfg ->
-          List.map snd (Sfg.outputs sfg) @ List.map snd (Sfg.assigns sfg))
-        tr.Fsm.t_actions
-    in
-    let is_b = classify_nodes roots in
-    let emitted = Hashtbl.create 128 in
-    let block_a = ref [] and block_b = ref [] and commit = ref [] in
-    let emit_node n =
-      Signal.fold_dag n ~init:() ~f:(fun () x ->
-          if not (Hashtbl.mem emitted (Signal.id x)) then begin
-            Hashtbl.add emitted (Signal.id x) ();
-            let stmt = node_statement a values cycle_ref cname x in
-            incr n_statements;
-            if is_b x then block_b := stmt :: !block_b
-            else block_a := stmt :: !block_a;
-            match Signal.op x with
-            | Signal.Input_read i -> begin
-              match Hashtbl.find_opt a.sink_net (cname, Signal.Input.name i) with
-              | Some net -> note_b_read cname net
-              | None -> ()
-            end
-            | Signal.Const _ | Signal.Reg_read _ | Signal.Add _ | Signal.Sub _
-            | Signal.Mul _ | Signal.Neg _ | Signal.Abs _ | Signal.And _
-            | Signal.Or _ | Signal.Xor _ | Signal.Not _ | Signal.Eq _
-            | Signal.Lt _ | Signal.Le _ | Signal.Mux _ | Signal.Resize _
-            | Signal.Rom_read _ | Signal.Shift_left _ | Signal.Shift_right _ ->
-              ()
-          end)
-    in
+  let l = Program_layout.of_system sys in
+  if Ocapi_obs.enabled () then
     List.iter
-      (fun sfg ->
-        List.iter
-          (fun (port, e) ->
-            emit_node e;
-            match Hashtbl.find_opt a.driver_net (cname, port) with
-            | None -> () (* unconnected output: value falls on the floor *)
-            | Some net ->
-              let dst = Hashtbl.find a.net_slot net in
-              let stamp = Hashtbl.find a.net_stamp net in
-              let src = slot_of_node a e in
-              let stmt () =
-                values.(dst) <- values.(src);
-                stamps.(stamp) <- !cycle_ref
-              in
-              incr n_statements;
-              if is_b e then begin
-                block_b := stmt :: !block_b;
-                Hashtbl.replace b_written_nets net cname
-              end
-              else block_a := stmt :: !block_a)
-          (Sfg.outputs sfg);
-        List.iter
-          (fun (reg, e) ->
-            emit_node e;
-            let nxt = Hashtbl.find a.reg_next (Signal.Reg.id reg) in
-            let cur = Hashtbl.find a.reg_cur (Signal.Reg.id reg) in
-            let src = slot_of_node a e in
-            let stmt () = values.(nxt) <- values.(src) in
-            incr n_statements;
-            if is_b e then block_b := stmt :: !block_b
-            else block_a := stmt :: !block_a;
-            commit := (fun () -> values.(cur) <- values.(nxt)) :: !commit)
-          (Sfg.assigns sfg))
-      tr.Fsm.t_actions;
+      (fun n -> Ocapi_obs.count ("compiled.ops." ^ op_kind_name n))
+      l.Program_layout.nodes;
+  let values = Array.make l.Program_layout.slots 0L in
+  let stamps = Array.make (max 1 (Array.length l.Program_layout.nets)) (-1) in
+  let cycle_ref = ref 0 in
+  let reg_inits = Array.of_list l.Program_layout.reg_inits in
+  Array.iter (fun (init, cur) -> values.(cur) <- init) reg_inits;
+  let statement cname = function
+    | Program_layout.Node n -> node_statement l values cycle_ref cname n
+    | Program_layout.Store { src; net } ->
+      let src = Program_layout.node_slot l src in
+      fun () ->
+        values.(net) <- values.(src);
+        stamps.(net) <- !cycle_ref
+    | Program_layout.Assign { src; next; _ } ->
+      let src = Program_layout.node_slot l src in
+      fun () -> values.(next) <- values.(src)
+  in
+  let compile_transition cname (tr : Program_layout.transition) =
+    let block b =
+      Array.to_list tr.tr_stmts
+      |> List.filter_map (fun (s, in_b) ->
+             if in_b = b then Some (statement cname s) else None)
+      |> Array.of_list
+    in
     {
-      tc_block_a = Array.of_list (List.rev !block_a);
-      tc_block_b = Array.of_list (List.rev !block_b);
-      tc_commit = Array.of_list (List.rev !commit);
-      tc_goto = Fsm.state_index tr.Fsm.t_goto;
+      tc_block_a = block false;
+      tc_block_b = block true;
+      tc_commit =
+        Array.to_list tr.tr_stmts
+        |> List.filter_map (function
+             | Program_layout.Assign { cur; next; _ }, _ ->
+               Some (fun () -> values.(cur) <- values.(next))
+             | (Program_layout.Node _ | Program_layout.Store _), _ -> None)
+        |> Array.of_list;
+      tc_goto = tr.tr_goto;
     }
   in
   let comps =
-    List.map
-      (fun (cname, fsm) ->
-        let transitions = Array.of_list (Fsm.transitions fsm) in
-        let guards =
-          Array.map
-            (fun tr ->
-              let f = compile_pure a values (Fsm.guard_expr tr.Fsm.t_guard) in
-              fun () -> f () <> 0L)
-            transitions
-        in
-        let tcs = Array.map (compile_transition cname) transitions in
-        let n_states = List.length (Fsm.states fsm) in
-        let by_state = Array.make n_states [] in
-        Array.iteri
-          (fun i tr ->
-            let s = Fsm.state_index tr.Fsm.t_from in
-            by_state.(s) <- i :: by_state.(s))
-          transitions;
+    Array.map
+      (fun (c : Program_layout.comp) ->
         {
-          cc_name = cname;
-          cc_initial = Fsm.state_index (Fsm.initial_state fsm);
-          cc_state = Fsm.state_index (Fsm.initial_state fsm);
+          cc_name = c.c_name;
+          cc_initial = c.c_initial;
+          cc_state = c.c_initial;
           cc_selected = -1;
-          cc_state_transitions =
-            Array.map (fun l -> Array.of_list (List.rev l)) by_state;
-          cc_guards = guards;
-          cc_transitions = tcs;
+          cc_state_transitions = c.c_by_state;
+          cc_guards =
+            Array.map
+              (fun (tr : Program_layout.transition) ->
+                let f = compile_pure l values tr.tr_guard in
+                fun () -> f () <> 0L)
+              c.c_transitions;
+          cc_transitions = Array.map (compile_transition c.c_name) c.c_transitions;
         })
-      all_timed
-    |> Array.of_list
+      l.Program_layout.comps
   in
-  let kernels =
-    List.map
-      (fun (cname, k) ->
-        let inputs =
-          List.map
-            (fun (port, _) ->
-              match Hashtbl.find_opt a.sink_net (cname, port) with
-              | Some net ->
-                let fmt =
-                  match Hashtbl.find_opt a.net_fmt net with
-                  | Some f -> f
-                  | None -> Dataflow.Kernel.port_format k port
-                in
-                (port, Hashtbl.find a.net_slot net, fmt)
-              | None ->
-                unsupported "compiled: kernel %s input %s unconnected" cname port)
-            k.Dataflow.Kernel.k_inputs
-        in
-        let outputs =
-          List.filter_map
-            (fun (port, _) ->
-              match Hashtbl.find_opt a.driver_net (cname, port) with
-              | Some net ->
-                Hashtbl.replace b_written_nets net cname;
-                Some (port, Hashtbl.find a.net_slot net, Hashtbl.find a.net_stamp net)
-              | None -> None)
-            k.Dataflow.Kernel.k_outputs
-        in
-        (cname, { kc_kernel = k; kc_inputs = inputs; kc_outputs = outputs }))
-      (Cycle_system.untimed_components sys)
-  in
-  (* B-phase schedule: topological order, edges writer(net) -> reader. *)
-  let unit_names =
-    Array.append
-      (Array.map (fun c -> c.cc_name) comps)
-      (Array.of_list (List.map fst kernels))
-  in
-  let n_units = Array.length unit_names in
-  let index_of_name = Hashtbl.create 16 in
-  Array.iteri (fun i n -> Hashtbl.replace index_of_name n i) unit_names;
-  let reads = Array.make n_units [] in
-  Array.iteri
-    (fun i name ->
-      if i < Array.length comps then
-        match Hashtbl.find_opt b_read_by_comp name with
-        | Some tbl -> reads.(i) <- Hashtbl.fold (fun net () acc -> net :: acc) tbl []
-        | None -> ())
-    unit_names;
-  List.iteri
-    (fun j (cname, kc) ->
-      let i = Array.length comps + j in
-      reads.(i) <-
-        List.map
-          (fun (port, _, _) ->
-            match Hashtbl.find_opt a.sink_net (cname, port) with
-            | Some net -> net
-            | None -> assert false)
-          kc.kc_inputs)
-    kernels;
-  let succs = Array.make n_units [] in
-  let indeg = Array.make n_units 0 in
-  Array.iteri
-    (fun i nets_read ->
-      List.iter
-        (fun net ->
-          match Hashtbl.find_opt b_written_nets net with
-          | Some writer ->
-            let w = Hashtbl.find index_of_name writer in
-            if w <> i then begin
-              succs.(w) <- i :: succs.(w);
-              indeg.(i) <- indeg.(i) + 1
-            end
-          | None -> ())
-        nets_read)
-    reads;
-  let order = ref [] in
-  let queue = Queue.create () in
-  Array.iteri (fun i d -> if d = 0 then Queue.add i queue) indeg;
-  let visited = ref 0 in
-  while not (Queue.is_empty queue) do
-    let i = Queue.pop queue in
-    order := i :: !order;
-    incr visited;
-    List.iter
-      (fun j ->
-        indeg.(j) <- indeg.(j) - 1;
-        if indeg.(j) = 0 then Queue.add j queue)
-      succs.(i)
-  done;
-  if !visited <> n_units then begin
-    let stuck =
-      Array.to_list unit_names |> List.filteri (fun i _ -> indeg.(i) > 0)
-    in
-    unsupported
-      "compiled: combinational component cycle involving %s; use the \
-       interpreted scheduler"
-      (String.concat ", " stuck)
-  end;
-  let kernel_arr = Array.of_list (List.map snd kernels) in
   let b_schedule =
-    List.rev !order
-    |> List.map (fun i ->
-           if i < Array.length comps then Either.Left i
-           else Either.Right kernel_arr.(i - Array.length comps))
-    |> Array.of_list
-  in
-  let stims =
-    List.filter_map
-      (fun (name, _fmt, stim) ->
-        match Hashtbl.find_opt a.driver_net (name, "out") with
-        | None -> None
-        | Some net ->
-          Some
-            {
-              st_fn = stim;
-              st_slot = Hashtbl.find a.net_slot net;
-              st_stamp = Hashtbl.find a.net_stamp net;
-            })
-      (Cycle_system.primary_inputs sys)
-    |> Array.of_list
+    Array.map
+      (function
+        | Program_layout.Comp i -> Either.Left i
+        | Program_layout.Kernel j -> Either.Right l.Program_layout.kernels.(j))
+      l.Program_layout.b_order
   in
   let probes =
-    List.filter_map
-      (fun pname ->
-        match Hashtbl.find_opt a.sink_net (pname, "in") with
-        | None -> None
-        | Some net ->
-          let fmt =
-            match Hashtbl.find_opt a.net_fmt net with
-            | Some f -> f
-            | None ->
-              unsupported "compiled: probe %s net %s has unknown format" pname net
-          in
-          Some
-            {
-              pc_name = pname;
-              pc_slot = Hashtbl.find a.net_slot net;
-              pc_stamp = Hashtbl.find a.net_stamp net;
-              pc_fmt = fmt;
-              pc_history = [];
-            })
-      (Cycle_system.probes sys)
+    List.map
+      (fun (p : Program_layout.probe) ->
+        {
+          pc_name = p.pr_name;
+          pc_net = p.pr_net;
+          pc_fmt = p.pr_fmt;
+          pc_history = [];
+        })
+      l.Program_layout.probes
     |> Array.of_list
   in
   let trace_recs =
-    List.filter_map
-      (fun (net_name, _, _) ->
-        match Hashtbl.find_opt a.net_fmt net_name with
-        | Some fmt ->
-          Some
-            {
-              trc_name = net_name;
-              trc_slot = Hashtbl.find a.net_slot net_name;
-              trc_stamp = Hashtbl.find a.net_stamp net_name;
-              trc_fmt = fmt;
-              trc_hist = [];
-            }
-        | None -> None)
-      nets
-    |> Array.of_list
+    Array.to_list l.Program_layout.nets
+    |> List.mapi (fun net (name, fmt) ->
+           Option.map
+             (fun fmt ->
+               { trc_name = name; trc_net = net; trc_fmt = fmt; trc_hist = [] })
+             fmt)
+    |> List.filter_map Fun.id |> Array.of_list
   in
-  let regs_exposed =
-    Cycle_system.all_regs sys
-    |> List.map (fun r ->
-           ( Signal.Reg.name r,
-             Signal.Reg.fmt r,
-             Hashtbl.find a.reg_cur (Signal.Reg.id r) ))
-    |> Array.of_list
-  in
+  let n_statements = l.Program_layout.statements in
   let t =
     {
       values;
@@ -847,24 +449,24 @@ let compile sys =
       cycle = 0;
       comps;
       b_schedule;
-      stims;
+      stims = Array.of_list l.Program_layout.stims;
       probes;
       reg_inits;
-      regs = regs_exposed;
-      n_statements = !n_statements;
+      regs = Array.of_list l.Program_layout.regs;
+      n_statements;
       tracing = false;
       trace_recs;
     }
   in
   if Ocapi_obs.enabled () then begin
-    Ocapi_obs.set_gauge "compiled.slots" (float_of_int a.next_slot);
-    Ocapi_obs.set_gauge "compiled.statements" (float_of_int !n_statements)
+    Ocapi_obs.set_gauge "compiled.slots" (float_of_int l.Program_layout.slots);
+    Ocapi_obs.set_gauge "compiled.statements" (float_of_int n_statements)
   end;
   Ocapi_obs.span_end ~cat:"compiled"
     ~args:
       [
-        ("slots", Ocapi_obs.Json.Int a.next_slot);
-        ("statements", Ocapi_obs.Json.Int !n_statements);
+        ("slots", Ocapi_obs.Json.Int l.Program_layout.slots);
+        ("statements", Ocapi_obs.Json.Int n_statements);
       ]
     "compiled.compile" t_compile;
   t
@@ -876,10 +478,10 @@ let step t =
   t.cycle_ref := t.cycle;
   Array.iter
     (fun st ->
-      match st.st_fn t.cycle with
+      match st.Program_layout.st_fn t.cycle with
       | Some v ->
-        t.values.(st.st_slot) <- Fixed.mantissa v;
-        t.stamps.(st.st_stamp) <- t.cycle
+        t.values.(st.st_net) <- Fixed.mantissa v;
+        t.stamps.(st.st_net) <- t.cycle
       | None -> ())
     t.stims;
   Array.iter
@@ -909,23 +511,23 @@ let step t =
         if c.cc_selected >= 0 then
           Array.iter (fun s -> s ()) c.cc_transitions.(c.cc_selected).tc_block_b
       | Either.Right kc ->
-        if kc.kc_kernel.Dataflow.Kernel.k_ready () then begin
+        if kc.Program_layout.k_kernel.Dataflow.Kernel.k_ready () then begin
           if Ocapi_obs.enabled () then Ocapi_obs.count "compiled.kernel_firings";
           let consumed =
             List.map
-              (fun (port, slot, fmt) ->
-                (port, [ Fixed.create fmt t.values.(slot) ]))
-              kc.kc_inputs
+              (fun (port, net, fmt) ->
+                (port, [ Fixed.create fmt t.values.(net) ]))
+              kc.k_inputs
           in
-          let produced = kc.kc_kernel.Dataflow.Kernel.k_behavior consumed in
+          let produced = kc.Program_layout.k_kernel.Dataflow.Kernel.k_behavior consumed in
           List.iter
-            (fun (port, slot, stamp) ->
+            (fun (port, net) ->
               match List.assoc_opt port produced with
               | Some [ v ] ->
-                t.values.(slot) <- Fixed.mantissa v;
-                t.stamps.(stamp) <- t.cycle
+                t.values.(net) <- Fixed.mantissa v;
+                t.stamps.(net) <- t.cycle
               | Some _ | None -> ())
-            kc.kc_outputs
+            kc.k_outputs
         end)
     t.b_schedule;
   Array.iter
@@ -933,21 +535,21 @@ let step t =
       match unit_ with
       | Either.Left _ -> ()
       | Either.Right kc ->
-        if kc.kc_kernel.Dataflow.Kernel.k_ready () then
-          kc.kc_kernel.Dataflow.Kernel.k_commit ())
+        if kc.Program_layout.k_kernel.Dataflow.Kernel.k_ready () then
+          kc.Program_layout.k_kernel.Dataflow.Kernel.k_commit ())
     t.b_schedule;
   Array.iter
     (fun p ->
-      if t.stamps.(p.pc_stamp) = t.cycle then
+      if t.stamps.(p.pc_net) = t.cycle then
         p.pc_history <-
-          (t.cycle, Fixed.create p.pc_fmt t.values.(p.pc_slot)) :: p.pc_history)
+          (t.cycle, Fixed.create p.pc_fmt t.values.(p.pc_net)) :: p.pc_history)
     t.probes;
   if t.tracing then
     Array.iter
       (fun r ->
-        if t.stamps.(r.trc_stamp) = t.cycle then
+        if t.stamps.(r.trc_net) = t.cycle then
           r.trc_hist <-
-            (t.cycle, Fixed.create r.trc_fmt t.values.(r.trc_slot)) :: r.trc_hist)
+            (t.cycle, Fixed.create r.trc_fmt t.values.(r.trc_net)) :: r.trc_hist)
       t.trace_recs;
   Array.iter
     (fun c ->
@@ -1006,7 +608,7 @@ let reset t =
     (fun unit_ ->
       match unit_ with
       | Either.Left _ -> ()
-      | Either.Right kc -> kc.kc_kernel.Dataflow.Kernel.k_reset ())
+      | Either.Right kc -> kc.Program_layout.k_kernel.Dataflow.Kernel.k_reset ())
     t.b_schedule
 
 let trace_all t = t.tracing <- true

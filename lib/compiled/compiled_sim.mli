@@ -4,7 +4,9 @@
     (hash tables, token lists) every cycle.  For extensive verification
     the paper regenerates "an application-specific and optimized compiled
     code simulator" from the same data structure (section 5, fig 7).
-    This module is that code generator: it {e flattens} a system into
+    The flattened program is a {!Program_layout.t}, computed once per
+    design and shared with the source emitter {!Emit}; this module is
+    its in-process rendering, turning the layout into
 
     - one [int64] slot per net, register (current and next) and
       expression node,
@@ -25,10 +27,10 @@
     scheduled and are rejected with {!Unsupported} — simulate those with
     the interpreted three-phase scheduler.
 
-    {!emit_ocaml} additionally prints the flattened program as a
-    standalone OCaml source file (the paper's "C++ description is
-    regenerated"), embedding recorded stimuli so the emitted simulator
-    can be compiled and diffed against the in-process engines. *)
+    {!emit_ocaml} renders the same layout as a standalone OCaml source
+    file (the paper's "C++ description is regenerated"), embedding
+    recorded stimuli so the emitted simulator can be compiled and
+    diffed against the in-process engines. *)
 
 exception Unsupported of string
 
@@ -101,14 +103,17 @@ val set_component_state : t -> int -> int -> unit
 (** Number of value slots in the flattened program (a size metric). *)
 val slot_count : t -> int
 
-(** Number of compiled statements across all blocks (a size metric). *)
+(** The program's static size, {!Program_layout.t.statements}: node,
+    store and assign statements plus one commit per register assign.
+    The native engine reports the same number. *)
 val statement_count : t -> int
 
 (** [emit_ocaml system ~cycles] returns standalone OCaml source for a
     simulator of [system]: stimuli for [cycles] cycles are evaluated now
     and embedded as literals; the emitted program prints one line per
     probe token, ["<cycle> <probe> <mantissa>"], so its output can be
-    compared against {!output_history}.  Untimed kernels cannot be
-    embedded in emitted source (their behaviour is an opaque closure);
-    systems containing any are rejected with {!Unsupported}. *)
+    compared against {!output_history}.  Untimed kernels carrying a
+    declared model (RAM cells) are inlined; any other untimed kernel
+    cannot be embedded in emitted source (its behaviour is an opaque
+    closure) and is rejected with {!Unsupported}. *)
 val emit_ocaml : Cycle_system.t -> cycles:int -> string

@@ -1,21 +1,25 @@
 (* OCaml source emission for the compiled simulator (fig 7: "a C++
    description can be regenerated to yield an application-specific and
-   optimized compiled code simulator").  Two shapes share one renderer:
-
-   - {!emit_ocaml}: a standalone program depending only on the standard
-     library, with recorded stimuli embedded as literals; it prints one
-     line per probe token so its behaviour can be diffed against the
-     in-process engines.
+   optimized compiled code simulator").  The program is the one
+   [Program_layout] computes for [Compiled_sim]; this module renders it
+   as text, in two shapes that share every line but the first and the
+   last few:
 
    - {!emit_plugin}: a library-shaped module for the native engine.  It
      registers step/reset closures and its raw state arrays through
-     [Ocapi_native_abi] instead of defining [main]; stimuli, probes and
-     fault pokes stay on the host side of the ABI.  When the width-bound
-     analysis ({!word_mode_ok}) proves every intermediate mantissa fits
-     an unboxed 63-bit [int], the plugin is emitted over native [int]
-     words ([Word] mode); otherwise it falls back to [int64] cells
-     ([I64] mode), semantically identical to the interpreted compiled
-     engine on any width. *)
+     [Ocapi_native_abi]; stimuli, probes and fault pokes stay on the
+     host side of the ABI.
+
+   - {!emit_ocaml}: a standalone program depending only on the standard
+     library, with recorded stimuli embedded as literals and a loop
+     that prints one line per probe token, so its behaviour can be
+     diffed against the in-process engines.
+
+   When the width-bound analysis ({!word_mode_ok}) proves every
+   intermediate mantissa fits an unboxed 63-bit [int], the text is
+   rendered over native [int] words ([Word] mode); otherwise over
+   [int64] cells ([I64] mode), semantically identical to the in-process
+   compiled engine on any width. *)
 
 let unsupported fmt =
   Format.kasprintf (fun s -> raise (Compiled_types.Unsupported s)) fmt
@@ -34,131 +38,27 @@ let sanitize name =
       | _ -> '_')
     (String.lowercase_ascii name)
 
-(* --- allocation (textual twin of Compiled_sim's) ----------------------- *)
-
-type alloc = {
-  mutable next_slot : int;
-  net_slot : (string, int) Hashtbl.t;
-  net_fmt : (string, Fixed.format) Hashtbl.t;
-  net_stamp : (string, int) Hashtbl.t;
-  reg_cur : (int, int) Hashtbl.t;
-  reg_next : (int, int) Hashtbl.t;
-  reg_init : (int64 * int) list ref;
-  node_slot : (int, int) Hashtbl.t;
-  sink_net : (string * string, string) Hashtbl.t;
-  driver_net : (string * string, string) Hashtbl.t;
-  roms : (string * int64 array) list ref;  (* emitted name, contents *)
+(* ROM tables, named in the order the rendering first reads them. *)
+type roms = {
+  mutable rom_list : (string * int64 array) list;  (* emitted name, contents *)
   rom_names : (string, string) Hashtbl.t;  (* rom name -> emitted name *)
 }
 
-let fresh a =
-  let s = a.next_slot in
-  a.next_slot <- s + 1;
-  s
-
-let slot_of_node a n =
-  match Hashtbl.find_opt a.node_slot (Signal.id n) with
-  | Some s -> s
-  | None ->
-    let s = fresh a in
-    Hashtbl.replace a.node_slot (Signal.id n) s;
-    s
-
-let rom_var a r =
+let rom_var roms r =
   let name = Signal.Rom.name r in
-  match Hashtbl.find_opt a.rom_names name with
+  match Hashtbl.find_opt roms.rom_names name with
   | Some v -> v
   | None ->
-    let v = Printf.sprintf "rom_%s_%d" (sanitize name) (List.length !(a.roms)) in
+    let v =
+      Printf.sprintf "rom_%s_%d" (sanitize name) (List.length roms.rom_list)
+    in
     let contents =
       Array.init (Signal.Rom.size r) (fun i ->
           Fixed.mantissa (Signal.Rom.get r i))
     in
-    a.roms := (v, contents) :: !(a.roms);
-    Hashtbl.replace a.rom_names name v;
+    roms.rom_list <- (v, contents) :: roms.rom_list;
+    Hashtbl.replace roms.rom_names name v;
     v
-
-(* Slot allocation shared by both emission shapes: nets first, in
-   [Cycle_system.nets] order (net i also owns stamp i), then a
-   current/next slot pair per register in [all_regs] order.  The native
-   host derives every stimulus/probe/poke slot from this contract alone,
-   so no layout metadata needs to ride with a cached .cmxs. *)
-let make_alloc sys =
-  let a =
-    {
-      next_slot = 0;
-      net_slot = Hashtbl.create 64;
-      net_fmt = Hashtbl.create 64;
-      net_stamp = Hashtbl.create 64;
-      reg_cur = Hashtbl.create 64;
-      reg_next = Hashtbl.create 64;
-      reg_init = ref [];
-      node_slot = Hashtbl.create 1024;
-      sink_net = Hashtbl.create 64;
-      driver_net = Hashtbl.create 64;
-      roms = ref [];
-      rom_names = Hashtbl.create 8;
-    }
-  in
-  let nets = Cycle_system.nets sys in
-  List.iteri
-    (fun i (net_name, (dc, dp), sinks) ->
-      Hashtbl.replace a.net_slot net_name (fresh a);
-      Hashtbl.replace a.net_stamp net_name i;
-      Hashtbl.replace a.driver_net (dc, dp) net_name;
-      List.iter
-        (fun (sc, sp) -> Hashtbl.replace a.sink_net (sc, sp) net_name)
-        sinks)
-    nets;
-  List.iter
-    (fun r ->
-      let id = Signal.Reg.id r in
-      let cur = fresh a and nxt = fresh a in
-      Hashtbl.replace a.reg_cur id cur;
-      Hashtbl.replace a.reg_next id nxt;
-      a.reg_init := (Fixed.mantissa (Signal.Reg.init r), cur) :: !(a.reg_init))
-    (Cycle_system.all_regs sys);
-  (a, nets)
-
-(* Net formats, as in Compiled_sim: primary inputs and untimed ports
-   declare theirs; timed outputs take the producing expression's. *)
-let compute_net_formats a sys =
-  let set net fmt =
-    match Hashtbl.find_opt a.net_fmt net with
-    | None -> Hashtbl.replace a.net_fmt net fmt
-    | Some f ->
-      if not (Fixed.equal_format f fmt) then
-        unsupported "emit: net %s is driven with inconsistent formats %s and %s"
-          net
-          (Fixed.format_to_string f) (Fixed.format_to_string fmt)
-  in
-  List.iter
-    (fun (name, fmt, _) ->
-      match Hashtbl.find_opt a.driver_net (name, "out") with
-      | Some net -> set net fmt
-      | None -> ())
-    (Cycle_system.primary_inputs sys);
-  List.iter
-    (fun (name, k) ->
-      List.iter
-        (fun (port, _) ->
-          match Hashtbl.find_opt a.driver_net (name, port) with
-          | Some net -> set net (Dataflow.Kernel.port_format k port)
-          | None -> ())
-        k.Dataflow.Kernel.k_outputs)
-    (Cycle_system.untimed_components sys);
-  List.iter
-    (fun (cname, fsm) ->
-      List.iter
-        (fun sfg ->
-          List.iter
-            (fun (port, e) ->
-              match Hashtbl.find_opt a.driver_net (cname, port) with
-              | Some net -> set net (Signal.fmt e)
-              | None -> ())
-            (Sfg.outputs sfg))
-        (Fsm.all_sfgs fsm))
-    (Cycle_system.timed_components sys)
 
 (* --- expression text ----------------------------------------------------- *)
 
@@ -167,9 +67,7 @@ let compute_net_formats a sys =
    valid when {!word_mode_ok} proved the bounds. *)
 type mode = I64 | Word
 
-let align_shifts (fa : Fixed.format) (fb : Fixed.format) =
-  let frac = max fa.Fixed.frac fb.Fixed.frac in
-  (frac - fa.Fixed.frac, frac - fb.Fixed.frac)
+let align_shifts = Program_layout.align_shifts
 
 let lit mode m =
   match mode with
@@ -241,11 +139,11 @@ let resize_txt mode ?(ctx = "guard") ~round ~overflow (src : Fixed.format)
    is a statement-level node whose children are referenced through their
    slots; with [comp = None] it is a pure guard rendered by inline
    recursion (guards cannot read inputs). *)
-let rec expr_text mode a ?comp n =
+let rec expr_text mode l roms ?comp n =
   let s x =
     match comp with
-    | Some _ -> Printf.sprintf "v.(%d)" (slot_of_node a x)
-    | None -> expr_text mode a x
+    | Some _ -> Printf.sprintf "v.(%d)" (Program_layout.node_slot l x)
+    | None -> expr_text mode l roms x
   in
   let ctx = match comp with Some c -> c | None -> "guard" in
   let nf = Signal.fmt n in
@@ -254,16 +152,12 @@ let rec expr_text mode a ?comp n =
   | Signal.Input_read i -> begin
     match comp with
     | None -> unsupported "emit: guard reads input %s" (Signal.Input.name i)
-    | Some cname -> begin
-      match Hashtbl.find_opt a.sink_net (cname, Signal.Input.name i) with
-      | Some net -> Printf.sprintf "v.(%d)" (Hashtbl.find a.net_slot net)
-      | None ->
-        unsupported "emit: input %s.%s is not connected" cname
-          (Signal.Input.name i)
-    end
+    | Some cname ->
+      Printf.sprintf "v.(%d)"
+        (Option.get
+           (Program_layout.input_net l ~comp:cname (Signal.Input.name i)))
   end
-  | Signal.Reg_read r ->
-    Printf.sprintf "v.(%d)" (Hashtbl.find a.reg_cur (Signal.Reg.id r))
+  | Signal.Reg_read r -> Printf.sprintf "v.(%d)" (Program_layout.reg_slot l r)
   | Signal.Add (x, y) ->
     let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
     bin_txt mode "Int64.add" "+" (shl_txt mode (s x) ka) (shl_txt mode (s y) kb)
@@ -326,7 +220,7 @@ let rec expr_text mode a ?comp n =
   | Signal.Resize (round, overflow, x) ->
     resize_txt mode ~ctx ~round ~overflow (Signal.fmt x) nf (s x)
   | Signal.Rom_read (r, idx) ->
-    let var = rom_var a r in
+    let var = rom_var roms r in
     let len = Signal.Rom.size r in
     let frac = (Signal.fmt idx).Fixed.frac in
     if frac <= 0 then
@@ -349,49 +243,6 @@ let rec expr_text mode a ?comp n =
           (min frac 62) len
     end
   | Signal.Shift_left (x, _) | Signal.Shift_right (x, _) -> s x
-
-let node_expr_text mode a comp_name n = expr_text mode a ~comp:comp_name n
-let pure_expr_text mode a e = expr_text mode a e
-
-(* --- classification (shared logic) --------------------------------------- *)
-
-(* NOTE: every child must be visited even when the answer is already
-   known — short-circuiting would leave siblings unclassified, and an
-   unclassified input-dependent node would default to block A and read
-   stale values. *)
-let classify_nodes roots =
-  let cls : (int, bool) Hashtbl.t = Hashtbl.create 256 in
-  let rec go n =
-    match Hashtbl.find_opt cls (Signal.id n) with
-    | Some b -> b
-    | None ->
-      let b =
-        match Signal.op n with
-        | Signal.Input_read _ -> true
-        | Signal.Const _ | Signal.Reg_read _ -> false
-        | Signal.Neg x | Signal.Abs x | Signal.Not x
-        | Signal.Resize (_, _, x)
-        | Signal.Rom_read (_, x)
-        | Signal.Shift_left (x, _)
-        | Signal.Shift_right (x, _) -> go x
-        | Signal.Add (x, y) | Signal.Sub (x, y) | Signal.Mul (x, y)
-        | Signal.And (x, y) | Signal.Or (x, y) | Signal.Xor (x, y)
-        | Signal.Eq (x, y) | Signal.Lt (x, y) | Signal.Le (x, y) ->
-          let bx = go x in
-          let by = go y in
-          bx || by
-        | Signal.Mux (s, x, y) ->
-          let bs = go s in
-          let bx = go x in
-          let by = go y in
-          bs || bx || by
-      in
-      Hashtbl.replace cls (Signal.id n) b;
-      b
-  in
-  List.iter (fun r -> ignore (go r)) roots;
-  fun n ->
-    match Hashtbl.find_opt cls (Signal.id n) with Some b -> b | None -> false
 
 (* --- width-bound analysis (Word-mode safety) ----------------------------- *)
 
@@ -426,11 +277,11 @@ let checked b = if b > value_limit then raise Too_wide else b
 let checked_width (f : Fixed.format) =
   if f.Fixed.width > width_limit then raise Too_wide else f.Fixed.width
 
-let rec bound_expr a memo net_bits reg_bits comp n =
+let rec bound_expr l memo net_bits reg_bits comp n =
   match Hashtbl.find_opt memo (Signal.id n) with
   | Some b -> b
   | None ->
-    let bx x = bound_expr a memo net_bits reg_bits comp x in
+    let bx x = bound_expr l memo net_bits reg_bits comp x in
     let nf = Signal.fmt n in
     let resize_bound ~round ~overflow (src : Fixed.format)
         (dst : Fixed.format) b =
@@ -450,20 +301,16 @@ let rec bound_expr a memo net_bits reg_bits comp n =
         checked_width dst
       end
     in
+    let bits tbl key = Option.value ~default:0 (Hashtbl.find_opt tbl key) in
     let b =
       match Signal.op n with
       | Signal.Const v -> bits_of_int64 (Fixed.mantissa v)
       | Signal.Input_read i -> begin
-        match Hashtbl.find_opt a.sink_net (comp, Signal.Input.name i) with
-        | Some net -> (
-          match Hashtbl.find_opt net_bits net with Some b -> b | None -> 0)
+        match Program_layout.input_net l ~comp (Signal.Input.name i) with
+        | Some net -> bits net_bits net
         | None -> 0
       end
-      | Signal.Reg_read r -> begin
-        match Hashtbl.find_opt reg_bits (Signal.Reg.id r) with
-        | Some b -> b
-        | None -> 0
-      end
+      | Signal.Reg_read r -> bits reg_bits (Program_layout.reg_slot l r)
       | Signal.Add (x, y) | Signal.Sub (x, y) ->
         let ka, kb = align_shifts (Signal.fmt x) (Signal.fmt y) in
         let bx' = checked (bx x + ka) and by' = checked (bx y + kb) in
@@ -512,36 +359,31 @@ let rec bound_expr a memo net_bits reg_bits comp n =
     Hashtbl.replace memo (Signal.id n) b;
     b
 
-(* [word_mode_ok a sys] decides whether Word-mode emission is exact for
-   [sys].  Monotone relaxation over per-net / per-register bounds; any
-   bound exceeding the 62-bit magnitude limit (or any wrap width above
-   61) rejects.  Termination: bounds only grow and are capped. *)
-let word_mode_ok a sys =
+(* [word_mode_ok l] decides whether Word-mode emission is exact for the
+   layout [l].  Monotone relaxation over per-net / per-register bounds
+   (keyed by net and by current-value slot); any bound exceeding the
+   62-bit magnitude limit (or any wrap width above 61) rejects.
+   Termination: bounds only grow and are capped. *)
+let word_mode_ok (l : Program_layout.t) =
   try
-    let net_bits : (string, int) Hashtbl.t = Hashtbl.create 64 in
+    let net_bits : (int, int) Hashtbl.t = Hashtbl.create 64 in
     let reg_bits : (int, int) Hashtbl.t = Hashtbl.create 64 in
     List.iter
-      (fun (name, (fmt : Fixed.format), _) ->
-        match Hashtbl.find_opt a.driver_net (name, "out") with
-        | Some net -> Hashtbl.replace net_bits net (checked_width fmt)
-        | None -> ())
-      (Cycle_system.primary_inputs sys);
-    List.iter
-      (fun (name, k) ->
+      (fun (st : Program_layout.stim) ->
+        Hashtbl.replace net_bits st.st_net (checked_width st.st_fmt))
+      l.stims;
+    Array.iter
+      (fun (k : Program_layout.kernel) ->
         List.iter
-          (fun (port, _) ->
-            match Hashtbl.find_opt a.driver_net (name, port) with
-            | Some net ->
-              Hashtbl.replace net_bits net
-                (checked_width (Dataflow.Kernel.port_format k port))
-            | None -> ())
-          k.Dataflow.Kernel.k_outputs)
-      (Cycle_system.untimed_components sys);
+          (fun (port, net) ->
+            Hashtbl.replace net_bits net
+              (checked_width (Dataflow.Kernel.port_format k.k_kernel port)))
+          k.k_outputs)
+      l.kernels;
     List.iter
-      (fun r ->
-        Hashtbl.replace reg_bits (Signal.Reg.id r)
-          (checked (bits_of_int64 (Fixed.mantissa (Signal.Reg.init r)))))
-      (Cycle_system.all_regs sys);
+      (fun (init, cur) ->
+        Hashtbl.replace reg_bits cur (checked (bits_of_int64 init)))
+      l.reg_inits;
     let relax tbl key b =
       let old = match Hashtbl.find_opt tbl key with Some o -> o | None -> 0 in
       if b > old then begin
@@ -553,58 +395,43 @@ let word_mode_ok a sys =
     let changed = ref true in
     while !changed do
       changed := false;
-      List.iter
-        (fun (cname, fsm) ->
-          List.iter
-            (fun tr ->
+      Array.iter
+        (fun (c : Program_layout.comp) ->
+          Array.iter
+            (fun (tr : Program_layout.transition) ->
               let memo = Hashtbl.create 256 in
-              let bound n = bound_expr a memo net_bits reg_bits cname n in
-              ignore (bound (Fsm.guard_expr tr.Fsm.t_guard));
-              List.iter
-                (fun sfg ->
-                  List.iter
-                    (fun (port, e) ->
-                      let b = bound e in
-                      match Hashtbl.find_opt a.driver_net (cname, port) with
-                      | Some net ->
-                        if relax net_bits net b then changed := true
-                      | None -> ())
-                    (Sfg.outputs sfg);
-                  List.iter
-                    (fun (reg, e) ->
-                      let b = bound e in
-                      if relax reg_bits (Signal.Reg.id reg) b then
-                        changed := true)
-                    (Sfg.assigns sfg))
-                tr.Fsm.t_actions)
-            (Fsm.transitions fsm))
-        (Cycle_system.timed_components sys)
+              let bound n = bound_expr l memo net_bits reg_bits c.c_name n in
+              ignore (bound tr.tr_guard);
+              Array.iter
+                (fun (stmt, _) ->
+                  match stmt with
+                  | Program_layout.Node n -> ignore (bound n)
+                  | Program_layout.Store { src; net } ->
+                    if relax net_bits net (bound src) then changed := true
+                  | Program_layout.Assign { src; cur; _ } ->
+                    if relax reg_bits cur (bound src) then changed := true)
+                tr.tr_stmts)
+            c.c_transitions)
+        l.comps
     done;
     (* Inlined RAM models compute [Fixed.to_int] of the address and a
        truncate/wrap resize of the write data in plugin code; both may
        shift left, so their intermediates must obey the same magnitude
        limit as every other node. *)
-    List.iter
-      (fun (name, k) ->
-        match k.Dataflow.Kernel.k_model with
+    Array.iter
+      (fun (k : Program_layout.kernel) ->
+        match k.k_kernel.Dataflow.Kernel.k_model with
         | Some (Dataflow.Kernel.Ram_model { data_fmt; addr_port; wdata_port; _ })
           ->
           ignore (checked_width data_fmt);
           let input_net_bits port =
-            match Hashtbl.find_opt a.sink_net (name, port) with
-            | None -> None
-            | Some net ->
-              let fmt =
-                match Hashtbl.find_opt a.net_fmt net with
-                | Some f -> f
-                | None -> Dataflow.Kernel.port_format k port
-              in
-              let b =
-                match Hashtbl.find_opt net_bits net with
-                | Some b -> b
-                | None -> 0
-              in
-              Some (fmt, b)
+            List.find_map
+              (fun (p, net, fmt) ->
+                if String.equal p port then
+                  Some
+                    (fmt, Option.value ~default:0 (Hashtbl.find_opt net_bits net))
+                else None)
+              k.k_inputs
           in
           (match input_net_bits addr_port with
           | Some (f, b) when f.Fixed.frac < 0 ->
@@ -616,14 +443,13 @@ let word_mode_ok a sys =
             if shift > 0 then ignore (checked (b + shift))
           | None -> ())
         | _ -> ())
-      (Cycle_system.untimed_components sys);
+      l.kernels;
     true
   with Too_wide -> false
 
-(* --- shared per-component rendering -------------------------------------- *)
+(* --- per-component rendering ---------------------------------------------- *)
 
 type comp_text = {
-  ct_name : string;
   ct_cid : string;  (* sanitized identifier *)
   ct_index : int;  (* index into the FSM-state array *)
   ct_select : string;
@@ -631,189 +457,77 @@ type comp_text = {
   ct_block_b : string;
   ct_commit : string;
   ct_initial : int;
-  ct_states : int;
 }
 
 (* Renders one match arm set per component.  FSM states live in a shared
-   [states : int array] (indexed by component order) in both emission
-   shapes, so the native host can read and force them through the ABI. *)
-let build_comp_texts mode a sys ~b_written ~b_read ~n_statements =
-  let all_timed = Cycle_system.timed_components sys in
-  List.mapi
-    (fun ci (cname, fsm) ->
-      let cid = sanitize cname in
-      let transitions = Array.of_list (Fsm.transitions fsm) in
-      let block_a = Buffer.create 1024
-      and block_b = Buffer.create 1024
-      and commits = Buffer.create 256 in
-      let ba fmt = Printf.ksprintf (Buffer.add_string block_a) fmt in
-      let bb fmt = Printf.ksprintf (Buffer.add_string block_b) fmt in
-      let bc fmt = Printf.ksprintf (Buffer.add_string commits) fmt in
-      Array.iteri
-        (fun ti tr ->
-          let roots =
-            List.concat_map
-              (fun sfg ->
-                List.map snd (Sfg.outputs sfg) @ List.map snd (Sfg.assigns sfg))
-              tr.Fsm.t_actions
-          in
-          let is_b = classify_nodes roots in
-          let emitted = Hashtbl.create 128 in
-          let a_stmts = ref [] and b_stmts = ref [] and c_stmts = ref [] in
-          let emit_node n =
-            Signal.fold_dag n ~init:() ~f:(fun () x ->
-                if not (Hashtbl.mem emitted (Signal.id x)) then begin
-                  Hashtbl.add emitted (Signal.id x) ();
-                  let txt =
-                    Printf.sprintf "v.(%d) <- %s" (slot_of_node a x)
-                      (node_expr_text mode a cname x)
-                  in
-                  if is_b x then b_stmts := txt :: !b_stmts
-                  else a_stmts := txt :: !a_stmts;
-                  incr n_statements;
-                  match Signal.op x with
-                  | Signal.Input_read i -> begin
-                    match
-                      Hashtbl.find_opt a.sink_net (cname, Signal.Input.name i)
-                    with
-                    | Some net -> Hashtbl.replace b_read (cname, net) ()
-                    | None -> ()
-                  end
-                  | _ -> ()
-                end)
-          in
-          List.iter
-            (fun sfg ->
-              List.iter
-                (fun (port, e) ->
-                  emit_node e;
-                  match Hashtbl.find_opt a.driver_net (cname, port) with
-                  | None -> ()
-                  | Some net ->
-                    let txt =
-                      Printf.sprintf "v.(%d) <- v.(%d); stamp.(%d) <- !cycle"
-                        (Hashtbl.find a.net_slot net)
-                        (slot_of_node a e)
-                        (Hashtbl.find a.net_stamp net)
-                    in
-                    incr n_statements;
-                    if is_b e then begin
-                      b_stmts := txt :: !b_stmts;
-                      Hashtbl.replace b_written net cname
-                    end
-                    else a_stmts := txt :: !a_stmts)
-                (Sfg.outputs sfg);
-              List.iter
-                (fun (reg, e) ->
-                  emit_node e;
-                  let nxt = Hashtbl.find a.reg_next (Signal.Reg.id reg) in
-                  let cur = Hashtbl.find a.reg_cur (Signal.Reg.id reg) in
-                  let txt =
-                    Printf.sprintf "v.(%d) <- v.(%d)" nxt (slot_of_node a e)
-                  in
-                  if is_b e then b_stmts := txt :: !b_stmts
-                  else a_stmts := txt :: !a_stmts;
-                  n_statements := !n_statements + 2;
-                  c_stmts := Printf.sprintf "v.(%d) <- v.(%d)" cur nxt :: !c_stmts)
-                (Sfg.assigns sfg))
-            tr.Fsm.t_actions;
-          let body stmts =
-            match List.rev stmts with
-            | [] -> "()"
-            | l -> String.concat ";\n      " l
-          in
-          ba "    | %d ->\n      %s\n" ti (body !a_stmts);
-          bb "    | %d ->\n      %s\n" ti (body !b_stmts);
-          bc "    | %d ->\n      %s;\n      states.(%d) <- %d\n" ti
-            (body !c_stmts) ci
-            (Fsm.state_index tr.Fsm.t_goto))
-        transitions;
-      (* Guard selection per state. *)
-      let sel = Buffer.create 512 in
-      let bs fmt = Printf.ksprintf (Buffer.add_string sel) fmt in
-      List.iter
-        (fun st ->
-          bs "    | %d ->\n" (Fsm.state_index st);
-          let trs =
-            Array.to_list transitions
-            |> List.mapi (fun i tr -> (i, tr))
-            |> List.filter (fun (_, tr) -> Fsm.state_equal tr.Fsm.t_from st)
-          in
-          let rec chain = function
-            | [] -> "(-1)"
-            | (i, tr) :: rest ->
-              let g = Fsm.guard_expr tr.Fsm.t_guard in
-              Printf.sprintf "if %s <> %s then %d else %s"
-                (pure_expr_text mode a g) (zero mode) i (chain rest)
-          in
-          bs "      %s\n" (chain trs))
-        (Fsm.states fsm);
-      {
-        ct_name = cname;
-        ct_cid = cid;
-        ct_index = ci;
-        ct_select = Buffer.contents sel;
-        ct_block_a = Buffer.contents block_a;
-        ct_block_b = Buffer.contents block_b;
-        ct_commit = Buffer.contents commits;
-        ct_initial = Fsm.state_index (Fsm.initial_state fsm);
-        ct_states = List.length (Fsm.states fsm);
-      })
-    all_timed
-
-(* Topological order of the B-phase units: timed components followed by
-   untimed kernels (as (kernel name, nets read) pairs; kernel outputs
-   were pre-seeded into [b_written]).  Returns indices into the combined
-   unit list. *)
-let schedule_b_units ~b_written ~b_read comp_texts kernel_reads =
-  let names =
-    List.map (fun ct -> ct.ct_name) comp_texts
-    @ List.map fst kernel_reads
-  in
-  let idx = Hashtbl.create 16 in
-  List.iteri (fun i n -> Hashtbl.replace idx n i) names;
-  let n_units = List.length names in
-  let succs = Array.make (max 1 n_units) [] in
-  let indeg = Array.make (max 1 n_units) 0 in
-  let add_edge writer reader =
-    if writer <> reader then begin
-      let w = Hashtbl.find idx writer and r = Hashtbl.find idx reader in
-      succs.(w) <- r :: succs.(w);
-      indeg.(r) <- indeg.(r) + 1
-    end
-  in
-  Hashtbl.iter
-    (fun (reader, net) () ->
-      match Hashtbl.find_opt b_written net with
-      | Some writer -> add_edge writer reader
-      | None -> ())
-    b_read;
-  List.iter
-    (fun (kname, nets_read) ->
-      List.iter
-        (fun net ->
-          match Hashtbl.find_opt b_written net with
-          | Some writer -> add_edge writer kname
-          | None -> ())
-        nets_read)
-    kernel_reads;
-  let order = ref [] and queue = Queue.create () and visited = ref 0 in
-  for i = 0 to n_units - 1 do
-    if indeg.(i) = 0 then Queue.add i queue
-  done;
-  while not (Queue.is_empty queue) do
-    let i = Queue.pop queue in
-    order := i :: !order;
-    incr visited;
-    List.iter
-      (fun j ->
-        indeg.(j) <- indeg.(j) - 1;
-        if indeg.(j) = 0 then Queue.add j queue)
-      succs.(i)
-  done;
-  if !visited <> n_units then
-    unsupported "emit: combinational component cycle";
-  List.rev !order
+   [states : int array] (indexed by component order), so the native host
+   can read and force them through the ABI. *)
+let build_comp_texts mode (l : Program_layout.t) roms =
+  Array.to_list l.comps
+  |> List.mapi (fun ci (c : Program_layout.comp) ->
+         let block_a = Buffer.create 1024
+         and block_b = Buffer.create 1024
+         and commits = Buffer.create 256 in
+         let ba fmt = Printf.ksprintf (Buffer.add_string block_a) fmt in
+         let bb fmt = Printf.ksprintf (Buffer.add_string block_b) fmt in
+         let bc fmt = Printf.ksprintf (Buffer.add_string commits) fmt in
+         let slot = Program_layout.node_slot l in
+         Array.iteri
+           (fun ti (tr : Program_layout.transition) ->
+             let a_stmts = ref [] and b_stmts = ref [] and c_stmts = ref [] in
+             Array.iter
+               (fun (stmt, in_b) ->
+                 let txt =
+                   match stmt with
+                   | Program_layout.Node x ->
+                     Printf.sprintf "v.(%d) <- %s" (slot x)
+                       (expr_text mode l roms ~comp:c.c_name x)
+                   | Program_layout.Store { src; net } ->
+                     Printf.sprintf "v.(%d) <- v.(%d); stamp.(%d) <- !cycle" net
+                       (slot src) net
+                   | Program_layout.Assign { src; cur; next } ->
+                     c_stmts :=
+                       Printf.sprintf "v.(%d) <- v.(%d)" cur next :: !c_stmts;
+                     Printf.sprintf "v.(%d) <- v.(%d)" next (slot src)
+                 in
+                 if in_b then b_stmts := txt :: !b_stmts
+                 else a_stmts := txt :: !a_stmts)
+               tr.tr_stmts;
+             let body stmts =
+               match List.rev stmts with
+               | [] -> "()"
+               | l -> String.concat ";\n      " l
+             in
+             ba "    | %d ->\n      %s\n" ti (body !a_stmts);
+             bb "    | %d ->\n      %s\n" ti (body !b_stmts);
+             bc "    | %d ->\n      %s;\n      states.(%d) <- %d\n" ti
+               (body !c_stmts) ci tr.tr_goto)
+           c.c_transitions;
+         (* Guard selection per state, in priority order. *)
+         let sel = Buffer.create 512 in
+         let bs fmt = Printf.ksprintf (Buffer.add_string sel) fmt in
+         Array.iteri
+           (fun s transitions ->
+             bs "    | %d ->\n" s;
+             let chain =
+               Array.fold_right
+                 (fun i rest ->
+                   Printf.sprintf "if %s <> %s then %d else %s"
+                     (expr_text mode l roms c.c_transitions.(i).tr_guard)
+                     (zero mode) i rest)
+                 transitions "(-1)"
+             in
+             bs "      %s\n" chain)
+           c.c_by_state;
+         {
+           ct_cid = sanitize c.c_name;
+           ct_index = ci;
+           ct_select = Buffer.contents sel;
+           ct_block_a = Buffer.contents block_a;
+           ct_block_b = Buffer.contents block_b;
+           ct_commit = Buffer.contents commits;
+           ct_initial = c.c_initial;
+         })
 
 (* Shared text fragments: mode helpers, ROMs, register initialization. *)
 
@@ -853,22 +567,14 @@ let emit_helpers buf mode =
     pf "let _ = wrap_u 1 0, wrap_s 1 0, sat 0 0 0, rnd_near 1 0, rnd_even 1 0\n";
     pf "let _ = overflow_error\n\n"
 
-let emit_roms buf mode a =
+let emit_roms buf mode roms =
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   List.iter
     (fun (var, contents) ->
       pf "let %s = [|" var;
       Array.iter (fun m -> pf " %s;" (lit mode m)) contents;
       pf " |]\n")
-    (List.rev !(a.roms))
-
-let emit_reg_inits buf mode a =
-  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pf "let () = (* register initial values *)\n";
-  List.iter
-    (fun (init, cur) -> pf "  v.(%d) <- %s;\n" cur (lit mode init))
-    !(a.reg_init);
-  pf "  ()\n\n"
+    (List.rev roms.rom_list)
 
 let emit_comp_funs buf comp_texts =
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -885,153 +591,16 @@ let emit_comp_funs buf comp_texts =
         ct.ct_cid ct.ct_cid ct.ct_commit)
     comp_texts
 
-let emit_states buf comp_texts =
-  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pf "let states : int array = [|";
-  List.iter (fun ct -> pf " %d;" ct.ct_initial) comp_texts;
-  pf " |]\n"
-
-(* --- standalone emission --------------------------------------------------- *)
-
-let emit_ocaml sys ~cycles =
-  if Cycle_system.untimed_components sys <> [] then
-    unsupported "emit_ocaml: untimed kernels cannot be embedded in source";
-  let mode = I64 in
-  let a, nets = make_alloc sys in
-  let buf = Buffer.create 65536 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let all_timed = Cycle_system.timed_components sys in
-  (* Pre-allocate node slots. *)
-  List.iter
-    (fun (_, fsm) ->
-      List.iter
-        (fun tr ->
-          List.iter
-            (fun sfg ->
-              List.iter
-                (fun root ->
-                  Signal.fold_dag root ~init:() ~f:(fun () n ->
-                      ignore (slot_of_node a n)))
-                (List.map snd (Sfg.outputs sfg) @ List.map snd (Sfg.assigns sfg)))
-            tr.Fsm.t_actions)
-        (Fsm.transitions fsm))
-    all_timed;
-  (* Stimuli: evaluate now, require totality. *)
-  let stim_rows =
-    List.filter_map
-      (fun (name, _fmt, stim) ->
-        match Hashtbl.find_opt a.driver_net (name, "out") with
-        | None -> None
-        | Some net ->
-          let vals =
-            Array.init cycles (fun c ->
-                match stim c with
-                | Some v -> Fixed.mantissa v
-                | None ->
-                  unsupported
-                    "emit_ocaml: stimulus %s produced no token at cycle %d"
-                    name c)
-          in
-          Some (sanitize name, Hashtbl.find a.net_slot net,
-                Hashtbl.find a.net_stamp net, vals))
-      (Cycle_system.primary_inputs sys)
-  in
-  let b_written = Hashtbl.create 32 in
-  let b_read = Hashtbl.create 32 in
-  let n_statements = ref 0 in
-  let comp_texts =
-    build_comp_texts mode a sys ~b_written ~b_read ~n_statements
-  in
-  let b_order = schedule_b_units ~b_written ~b_read comp_texts [] in
-  let comp_arr = Array.of_list comp_texts in
-  (* Probes. *)
-  let probe_rows =
-    List.filter_map
-      (fun pname ->
-        match Hashtbl.find_opt a.sink_net (pname, "in") with
-        | None -> None
-        | Some net ->
-          Some (pname, Hashtbl.find a.net_slot net, Hashtbl.find a.net_stamp net))
-      (Cycle_system.probes sys)
-  in
-  (* --- assemble the file --- *)
-  pf "(* Generated by ocapi-ml: compiled simulator for system %S. *)\n"
-    (Cycle_system.name sys);
-  pf "(* %d cycles of embedded stimuli; prints \"<cycle> <probe> <mantissa>\". *)\n\n"
-    cycles;
-  pf "let v = Array.make %d 0L\n" (max 1 a.next_slot);
-  pf "let stamp = Array.make %d (-1)\n" (max 1 (List.length nets));
-  pf "let cycle = ref 0\n";
-  pf "exception Overflow of string\n";
-  pf "let overflow_error what =\n";
-  pf "  raise (Overflow (Printf.sprintf \"compiled/%%s (cycle %%d)\" what !cycle))\n";
-  emit_helpers buf mode;
-  emit_roms buf mode a;
-  List.iter
-    (fun (name, slot, stampi, vals) ->
-      pf "let stim_%s = [|" name;
-      Array.iter (fun m -> pf " %LdL;" m) vals;
-      pf " |]\n";
-      pf "let stim_%s_slot = %d\nlet stim_%s_stamp = %d\n" name slot name stampi)
-    stim_rows;
-  pf "\n";
-  emit_reg_inits buf mode a;
-  emit_states buf comp_texts;
-  emit_comp_funs buf comp_texts;
-  pf "let step () =\n";
-  List.iter
-    (fun (name, _, _, _) ->
-      pf "  v.(stim_%s_slot) <- stim_%s.(!cycle); stamp.(stim_%s_stamp) <- !cycle;\n"
-        name name name)
-    stim_rows;
-  List.iter (fun ct -> pf "  select_%s ();\n" ct.ct_cid) comp_texts;
-  List.iter (fun ct -> pf "  block_a_%s ();\n" ct.ct_cid) comp_texts;
-  List.iter (fun i -> pf "  block_b_%s ();\n" comp_arr.(i).ct_cid) b_order;
-  List.iter
-    (fun (pname, slot, stampi) ->
-      pf "  (if stamp.(%d) = !cycle then Printf.printf \"%%d %s %%Ld\\n\" !cycle v.(%d));\n"
-        stampi pname slot)
-    probe_rows;
-  List.iter (fun ct -> pf "  commit_%s ();\n" ct.ct_cid) comp_texts;
-  pf "  incr cycle\n\n";
-  pf "let () = for _ = 1 to %d do step () done\n" cycles;
-  Buffer.contents buf
-
-(* --- plugin emission ------------------------------------------------------- *)
-
-(* Everything the native host needs to wire a loaded plugin to the
-   design: slot/stamp indices for stimuli and probes, register and FSM
-   inventories, kernel port wiring.  Derived from the same allocation
-   the plugin text was rendered from; plain data, so it can be
-   marshalled into a sidecar next to a cached .cmxs. *)
-type plugin_meta = {
-  pm_version : int;
-  pm_packed : bool;  (* Word mode (true) or boxed int64 mode *)
-  pm_slots : int;
-  pm_stamp_count : int;
-  pm_statements : int;
-  pm_stims : (string * int * int) list;  (* input name, slot, stamp *)
-  pm_probes : (string * int * int * Fixed.format) list;
-      (* probe name, slot, stamp, carried format *)
-  pm_regs : (string * Fixed.format * int) list;
-      (* register name, declared format, current-value slot;
-         in Cycle_system.all_regs order *)
-  pm_comps : (string * int) list;  (* timed component name, state count *)
-  pm_kernels :
-    (string
-    * (string * int * Fixed.format) list  (* input port, slot, format *)
-    * (string * int * int) list)  (* output port, slot, stamp *)
-    list;  (* in Cycle_system.untimed_components order *)
-}
+(* --- untimed kernels --------------------------------------------------------- *)
 
 (* An untimed kernel carrying a {!Dataflow.Kernel.model} is inlined
-   into the plugin instead of crossing the host boundary: per-firing
-   token boxing through the closure interface is the dominant cycle
-   cost of RAM-heavy designs (the DECT transceiver drives seven RAM
-   cells every cycle), and the model pins down bit-exact semantics the
-   generated code can reproduce directly. *)
+   into the emitted text instead of crossing the host boundary:
+   per-firing token boxing through the closure interface is the
+   dominant cycle cost of RAM-heavy designs (the DECT transceiver drives
+   seven RAM cells every cycle), and the model pins down bit-exact
+   semantics the generated code can reproduce directly. *)
 type ram_info = {
-  ri_id : int;  (* per-plugin RAM ordinal, for identifier naming *)
+  ri_id : int;  (* per-program RAM ordinal, for identifier naming *)
   ri_words : int;
   ri_data_fmt : Fixed.format;
   ri_addr_slot : int;
@@ -1039,7 +608,7 @@ type ram_info = {
   ri_wdata_slot : int;
   ri_wdata_fmt : Fixed.format;
   ri_we_slot : int;
-  ri_rdata : (int * int) option;  (* slot, stamp; None if unconnected *)
+  ri_rdata : int option;  (* read-data net; None if unconnected *)
 }
 
 (* [Fixed.to_int] of the address value, rendered over the mode's cells.
@@ -1075,10 +644,10 @@ let ram_fire_lines mode ri =
     Printf.sprintf " let a_ = if a_ < 0 then a_ + %d else a_ in" ri.ri_words;
   ]
   @ (match ri.ri_rdata with
-    | Some (slot, stampi) ->
+    | Some net ->
       [
-        Printf.sprintf " v.(%d) <- ram_%d.(a_);" slot i;
-        Printf.sprintf " stamp.(%d) <- !cycle;" stampi;
+        Printf.sprintf " v.(%d) <- ram_%d.(a_);" net i;
+        Printf.sprintf " stamp.(%d) <- !cycle;" net;
       ]
     | None -> [])
   @ [
@@ -1092,198 +661,131 @@ let ram_fire_lines mode ri =
       Printf.sprintf " else ram_%d_pa := (-1));" i;
     ]
 
-let emit_plugin sys =
-  let a, nets = make_alloc sys in
-  compute_net_formats a sys;
-  let all_timed = Cycle_system.timed_components sys in
-  List.iter
-    (fun (_, fsm) ->
-      List.iter
-        (fun tr ->
-          List.iter
-            (fun sfg ->
-              List.iter
-                (fun root ->
-                  Signal.fold_dag root ~init:() ~f:(fun () n ->
-                      ignore (slot_of_node a n)))
-                (List.map snd (Sfg.outputs sfg) @ List.map snd (Sfg.assigns sfg)))
-            tr.Fsm.t_actions)
-        (Fsm.transitions fsm))
-    all_timed;
-  let mode = if word_mode_ok a sys then Word else I64 in
-  (* Kernel wiring, as in Compiled_sim.compile. *)
-  let kernels =
-    List.map
-      (fun (cname, k) ->
-        let inputs =
-          List.map
-            (fun (port, _) ->
-              match Hashtbl.find_opt a.sink_net (cname, port) with
-              | Some net ->
-                let fmt =
-                  match Hashtbl.find_opt a.net_fmt net with
-                  | Some f -> f
-                  | None -> Dataflow.Kernel.port_format k port
-                in
-                (port, Hashtbl.find a.net_slot net, fmt)
-              | None ->
-                unsupported "emit_plugin: kernel %s input %s unconnected" cname
-                  port)
-            k.Dataflow.Kernel.k_inputs
-        in
-        let outputs =
-          List.filter_map
-            (fun (port, _) ->
-              match Hashtbl.find_opt a.driver_net (cname, port) with
-              | Some net ->
-                Some
-                  (port, Hashtbl.find a.net_slot net,
-                   Hashtbl.find a.net_stamp net)
-              | None -> None)
-            k.Dataflow.Kernel.k_outputs
-        in
-        (cname, k, inputs, outputs))
-      (Cycle_system.untimed_components sys)
-  in
-  (* Partition: kernels carrying an inlinable declarative model run
-     entirely inside the plugin; the rest keep crossing the host
-     boundary through the closure arrays.  Host indices are assigned
-     over the surviving kernels only, so [pm_kernels] and the plugin's
-     closure arrays stay index-aligned. *)
-  let next_ram = ref 0 in
-  let next_host = ref 0 in
-  let kunits =
-    List.map
-      (fun (cname, k, inputs, outputs) ->
-        let host () =
-          let hj = !next_host in
-          incr next_host;
-          `Host (hj, (cname, inputs, outputs))
-        in
-        match k.Dataflow.Kernel.k_model with
-        | Some
-            (Dataflow.Kernel.Ram_model
-               { words; data_fmt; addr_port; wdata_port; we_port; rdata_port })
-          -> (
-          let inp p =
-            List.find_opt (fun (q, _, _) -> String.equal q p) inputs
+(* Partition the kernels: those carrying an inlinable declarative model
+   run entirely inside the emitted code; the rest keep crossing the host
+   boundary through the plugin's closure arrays.  Host indices count the
+   surviving kernels only, so [pm_kernels] and the closure arrays stay
+   index-aligned. *)
+let kernel_units (l : Program_layout.t) =
+  let next_ram = ref 0 and next_host = ref 0 in
+  Array.map
+    (fun (k : Program_layout.kernel) ->
+      let host () =
+        let hj = !next_host in
+        incr next_host;
+        `Host (hj, k)
+      in
+      match k.k_kernel.Dataflow.Kernel.k_model with
+      | Some
+          (Dataflow.Kernel.Ram_model
+             { words; data_fmt; addr_port; wdata_port; we_port; rdata_port })
+        -> (
+        let inp p = List.find_opt (fun (q, _, _) -> String.equal q p) k.k_inputs in
+        match (inp addr_port, inp wdata_port, inp we_port) with
+        | Some (_, aslot, afmt), Some (_, wslot, wfmt), Some (_, eslot, _) ->
+          let ri =
+            {
+              ri_id = !next_ram;
+              ri_words = words;
+              ri_data_fmt = data_fmt;
+              ri_addr_slot = aslot;
+              ri_addr_fmt = afmt;
+              ri_wdata_slot = wslot;
+              ri_wdata_fmt = wfmt;
+              ri_we_slot = eslot;
+              ri_rdata = List.assoc_opt rdata_port k.k_outputs;
+            }
           in
-          match (inp addr_port, inp wdata_port, inp we_port) with
-          | Some (_, aslot, afmt), Some (_, wslot, wfmt), Some (_, eslot, _) ->
-            let ri =
-              {
-                ri_id = !next_ram;
-                ri_words = words;
-                ri_data_fmt = data_fmt;
-                ri_addr_slot = aslot;
-                ri_addr_fmt = afmt;
-                ri_wdata_slot = wslot;
-                ri_wdata_fmt = wfmt;
-                ri_we_slot = eslot;
-                ri_rdata =
-                  List.find_map
-                    (fun (p, slot, st) ->
-                      if String.equal p rdata_port then Some (slot, st)
-                      else None)
-                    outputs;
-              }
-            in
-            incr next_ram;
-            `Inline ri
-          | _ -> host ())
+          incr next_ram;
+          `Inline ri
         | _ -> host ())
-      kernels
-  in
+      | _ -> host ())
+    l.kernels
+
+(* --- rendering --------------------------------------------------------------- *)
+
+(* What the native host needs to wire a loaded plugin to the design:
+   slot/stamp indices for stimuli and probes, register and FSM
+   inventories, kernel port wiring.  Read off the same layout the plugin
+   text was rendered from; plain data, so it can be marshalled into a
+   sidecar next to a cached .cmxs. *)
+type plugin_meta = {
+  pm_version : int;
+  pm_packed : bool;  (* Word mode (true) or boxed int64 mode *)
+  pm_slots : int;
+  pm_stamp_count : int;
+  pm_statements : int;
+  pm_stims : (string * int * int) list;  (* input name, slot, stamp *)
+  pm_probes : (string * int * int * Fixed.format) list;
+      (* probe name, slot, stamp, carried format *)
+  pm_regs : (string * Fixed.format * int) list;
+      (* register name, declared format, current-value slot;
+         in Cycle_system.all_regs order *)
+  pm_comps : (string * int) list;  (* timed component name, state count *)
+  pm_kernels :
+    (string
+    * (string * int * Fixed.format) list  (* input port, slot, format *)
+    * (string * int * int) list)  (* output port, slot, stamp *)
+    list;  (* in Cycle_system.untimed_components order *)
+}
+
+(* The two shapes differ only in the head (how an overflow is raised)
+   and the tail (ABI registration, or embedded stimuli and a printing
+   main loop). *)
+type shape = Plugin | Standalone of int  (* cycles *)
+
+let render shape sys (l : Program_layout.t) =
+  let mode = if word_mode_ok l then Word else I64 in
+  let roms = { rom_list = []; rom_names = Hashtbl.create 8 } in
+  let comp_texts = build_comp_texts mode l roms in
+  let kunits = kernel_units l in
   let rams =
-    List.filter_map (function `Inline ri -> Some ri | `Host _ -> None) kunits
+    Array.to_list kunits
+    |> List.filter_map (function `Inline ri -> Some ri | `Host _ -> None)
   in
   let host_kernels =
-    List.filter_map
-      (function `Host (_, row) -> Some row | `Inline _ -> None)
-      kunits
+    Array.to_list kunits
+    |> List.filter_map (function `Host (_, k) -> Some k | `Inline _ -> None)
   in
-  let kunit_arr = Array.of_list kunits in
-  let b_written = Hashtbl.create 32 in
-  let b_read = Hashtbl.create 32 in
-  (* Kernel outputs are always B-phase-written (inlined or not). *)
-  List.iter
-    (fun (kname, _, _, outputs) ->
-      List.iter
-        (fun (port, _, _) ->
-          match Hashtbl.find_opt a.driver_net (kname, port) with
-          | Some net -> Hashtbl.replace b_written net kname
-          | None -> ())
-        outputs)
-    kernels;
-  let n_statements = ref 0 in
-  let comp_texts =
-    build_comp_texts mode a sys ~b_written ~b_read ~n_statements
-  in
-  let kernel_reads =
-    List.map
-      (fun (kname, _, inputs, _) ->
-        ( kname,
-          List.map
-            (fun (port, _, _) -> Hashtbl.find a.sink_net (kname, port))
-            inputs ))
-      kernels
-  in
-  let b_order = schedule_b_units ~b_written ~b_read comp_texts kernel_reads in
-  let n_comps = List.length comp_texts in
-  let comp_arr = Array.of_list comp_texts in
-  let n_kernels = List.length host_kernels in
-  let stim_rows =
-    List.filter_map
-      (fun (name, _fmt, _stim) ->
-        match Hashtbl.find_opt a.driver_net (name, "out") with
-        | None -> None
-        | Some net ->
-          Some (name, Hashtbl.find a.net_slot net, Hashtbl.find a.net_stamp net))
-      (Cycle_system.primary_inputs sys)
-  in
-  let probe_rows =
-    List.filter_map
-      (fun pname ->
-        match Hashtbl.find_opt a.sink_net (pname, "in") with
-        | None -> None
-        | Some net ->
-          let fmt =
-            match Hashtbl.find_opt a.net_fmt net with
-            | Some f -> f
-            | None ->
-              unsupported "emit_plugin: probe %s net %s has unknown format"
-                pname net
-          in
-          Some
-            (pname, Hashtbl.find a.net_slot net, Hashtbl.find a.net_stamp net,
-             fmt))
-      (Cycle_system.probes sys)
-  in
-  let reg_rows =
-    Cycle_system.all_regs sys
-    |> List.map (fun r ->
-           ( Signal.Reg.name r,
-             Signal.Reg.fmt r,
-             Hashtbl.find a.reg_cur (Signal.Reg.id r) ))
-  in
+  (match (shape, host_kernels) with
+  | Standalone _, (k : Program_layout.kernel) :: _ ->
+    unsupported
+      "emit_ocaml: untimed kernel %s has no inlinable model, so it cannot be \
+       embedded in source"
+      k.k_name
+  | (Standalone _ | Plugin), _ -> ());
+  let n_stamps = max 1 (Array.length l.nets) in
   let buf = Buffer.create 65536 in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pf "(* Generated by ocapi-ml: native simulator plugin for system %S. *)\n"
-    (Cycle_system.name sys);
-  pf "(* Emitter v%d, %s value store; loaded via Dynlink, driven through\n"
-    emitter_version
-    (match mode with Word -> "unboxed int" | I64 -> "int64");
-  pf "   the Ocapi_native_abi handoff record. *)\n\n";
+  (match shape with
+  | Plugin ->
+    pf "(* Generated by ocapi-ml: native simulator plugin for system %S. *)\n"
+      (Cycle_system.name sys);
+    pf "(* Emitter v%d, %s value store; loaded via Dynlink, driven through\n"
+      emitter_version
+      (match mode with Word -> "unboxed int" | I64 -> "int64");
+    pf "   the Ocapi_native_abi handoff record. *)\n\n"
+  | Standalone cycles ->
+    pf "(* Generated by ocapi-ml: compiled simulator for system %S. *)\n"
+      (Cycle_system.name sys);
+    pf "(* %d cycles of embedded stimuli; prints \"<cycle> <probe> <mantissa>\". *)\n\n"
+      cycles);
   (match mode with
-  | Word -> pf "let v = Array.make %d 0\n" (max 1 a.next_slot)
-  | I64 -> pf "let v = Array.make %d 0L\n" (max 1 a.next_slot));
-  pf "let stamp = Array.make %d (-1)\n" (max 1 (List.length nets));
+  | Word -> pf "let v = Array.make %d 0\n" l.slots
+  | I64 -> pf "let v = Array.make %d 0L\n" l.slots);
+  pf "let stamp = Array.make %d (-1)\n" n_stamps;
   pf "let cycle = ref 0\n";
-  pf "let overflow_error what =\n";
-  pf "  raise (Ocapi_native_abi.Native_overflow\n";
-  pf "           (Printf.sprintf \"%%s (cycle %%d)\" what !cycle))\n";
+  (match shape with
+  | Plugin ->
+    pf "let overflow_error what =\n";
+    pf "  raise (Ocapi_native_abi.Native_overflow\n";
+    pf "           (Printf.sprintf \"%%s (cycle %%d)\" what !cycle))\n"
+  | Standalone _ ->
+    pf "exception Overflow of string\n";
+    pf "let overflow_error what =\n";
+    pf "  raise (Overflow (Printf.sprintf \"compiled/%%s (cycle %%d)\" what !cycle))\n");
   emit_helpers buf mode;
-  emit_roms buf mode a;
+  emit_roms buf mode roms;
   (* Inlined RAM stores: backing array + single staged write (pa < 0
      means nothing staged), mirroring Ram_cell's [pending] ref. *)
   List.iter
@@ -1301,77 +803,142 @@ let emit_plugin sys =
       pf "    ram_%d_pa := (-1)\n" ri.ri_id;
       pf "  end\n\n")
     rams;
-  pf "let kernels : (unit -> unit) array = Array.make %d (fun () -> ())\n"
-    n_kernels;
-  pf "let kernel_commits : (unit -> unit) array = Array.make %d (fun () -> ())\n\n"
-    n_kernels;
-  emit_reg_inits buf mode a;
-  emit_states buf comp_texts;
+  if shape = Plugin then begin
+    let n_kernels = List.length host_kernels in
+    pf "let kernels : (unit -> unit) array = Array.make %d (fun () -> ())\n"
+      n_kernels;
+    pf "let kernel_commits : (unit -> unit) array = Array.make %d (fun () -> ())\n\n"
+      n_kernels
+  end;
+  (* Register initial values in reverse [all_regs] order.  Any order
+     is correct; this one keeps the emitted text stable. *)
+  let reg_inits = List.rev l.reg_inits in
+  let reg_init_lines () =
+    List.iter
+      (fun (init, cur) -> pf "  v.(%d) <- %s;\n" cur (lit mode init))
+      reg_inits
+  in
+  pf "let () = (* register initial values *)\n";
+  reg_init_lines ();
+  pf "  ()\n\n";
+  pf "let states : int array = [|";
+  List.iter (fun ct -> pf " %d;" ct.ct_initial) comp_texts;
+  pf " |]\n";
   emit_comp_funs buf comp_texts;
   pf "let step () =\n";
   List.iter (fun ct -> pf "  select_%s ();\n" ct.ct_cid) comp_texts;
   List.iter (fun ct -> pf "  block_a_%s ();\n" ct.ct_cid) comp_texts;
-  List.iter
-    (fun i ->
-      if i < n_comps then pf "  block_b_%s ();\n" comp_arr.(i).ct_cid
-      else
-        match kunit_arr.(i - n_comps) with
+  let comp_arr = Array.of_list comp_texts in
+  Array.iter
+    (function
+      | Program_layout.Comp i -> pf "  block_b_%s ();\n" comp_arr.(i).ct_cid
+      | Program_layout.Kernel j -> (
+        match kunits.(j) with
         | `Inline ri ->
           List.iter (fun line -> pf "  %s\n" line) (ram_fire_lines mode ri)
-        | `Host (hj, _) -> pf "  kernels.(%d) ();\n" hj)
-    b_order;
-  List.iter
-    (fun i ->
-      if i >= n_comps then
-        match kunit_arr.(i - n_comps) with
+        | `Host (hj, _) -> pf "  kernels.(%d) ();\n" hj))
+    l.b_order;
+  Array.iter
+    (function
+      | Program_layout.Comp _ -> ()
+      | Program_layout.Kernel j -> (
+        match kunits.(j) with
         | `Inline ri -> pf "  commit_ram_%d ();\n" ri.ri_id
-        | `Host (hj, _) -> pf "  kernel_commits.(%d) ();\n" hj)
-    b_order;
+        | `Host (hj, _) -> pf "  kernel_commits.(%d) ();\n" hj))
+    l.b_order;
   List.iter (fun ct -> pf "  commit_%s ();\n" ct.ct_cid) comp_texts;
   pf "  incr cycle\n\n";
-  pf "let reset () =\n";
-  pf "  cycle := 0;\n";
-  pf "  Array.fill stamp 0 %d (-1);\n" (max 1 (List.length nets));
-  List.iter
-    (fun (init, cur) -> pf "  v.(%d) <- %s;\n" cur (lit mode init))
-    !(a.reg_init);
-  List.iter
-    (fun ct ->
-      pf "  states.(%d) <- %d;\n" ct.ct_index ct.ct_initial;
-      pf "  sel_%s := (-1);\n" ct.ct_cid)
-    comp_texts;
-  List.iter
-    (fun ri ->
-      pf "  Array.fill ram_%d 0 %d %s;\n" ri.ri_id ri.ri_words (zero mode);
-      pf "  ram_%d_pa := (-1);\n" ri.ri_id)
-    rams;
-  pf "  ()\n\n";
-  pf "let () =\n";
-  pf "  Ocapi_native_abi.register\n";
-  pf "    {\n";
-  (match mode with
-  | Word -> pf "      Ocapi_native_abi.p_values = Ocapi_native_abi.Words v;\n"
-  | I64 -> pf "      Ocapi_native_abi.p_values = Ocapi_native_abi.Boxed v;\n");
-  pf "      p_stamps = stamp;\n";
-  pf "      p_cycle = cycle;\n";
-  pf "      p_states = states;\n";
-  pf "      p_kernels = kernels;\n";
-  pf "      p_kernel_commits = kernel_commits;\n";
-  pf "      p_step = step;\n";
-  pf "      p_reset = reset;\n";
-  pf "    }\n";
-  let meta =
+  (match shape with
+  | Plugin ->
+    pf "let reset () =\n";
+    pf "  cycle := 0;\n";
+    pf "  Array.fill stamp 0 %d (-1);\n" n_stamps;
+    reg_init_lines ();
+    List.iter
+      (fun ct ->
+        pf "  states.(%d) <- %d;\n" ct.ct_index ct.ct_initial;
+        pf "  sel_%s := (-1);\n" ct.ct_cid)
+      comp_texts;
+    List.iter
+      (fun ri ->
+        pf "  Array.fill ram_%d 0 %d %s;\n" ri.ri_id ri.ri_words (zero mode);
+        pf "  ram_%d_pa := (-1);\n" ri.ri_id)
+      rams;
+    pf "  ()\n\n";
+    pf "let () =\n";
+    pf "  Ocapi_native_abi.register\n";
+    pf "    {\n";
+    (match mode with
+    | Word -> pf "      Ocapi_native_abi.p_values = Ocapi_native_abi.Words v;\n"
+    | I64 -> pf "      Ocapi_native_abi.p_values = Ocapi_native_abi.Boxed v;\n");
+    pf "      p_stamps = stamp;\n";
+    pf "      p_cycle = cycle;\n";
+    pf "      p_states = states;\n";
+    pf "      p_kernels = kernels;\n";
+    pf "      p_kernel_commits = kernel_commits;\n";
+    pf "      p_step = step;\n";
+    pf "      p_reset = reset;\n";
+    pf "    }\n"
+  | Standalone cycles ->
+    (* Stimuli are evaluated now and must be total over the run. *)
+    List.iteri
+      (fun i (st : Program_layout.stim) ->
+        pf "let stim_%d = [| (* %s *)" i st.st_name;
+        for c = 0 to cycles - 1 do
+          match st.st_fn c with
+          | Some v -> pf " %s;" (lit mode (Fixed.mantissa v))
+          | None ->
+            unsupported "emit_ocaml: stimulus %s produced no token at cycle %d"
+              st.st_name c
+        done;
+        pf " |]\n")
+      l.stims;
+    pf "\nlet () =\n";
+    pf "  for c = 0 to %d do\n" (cycles - 1);
+    List.iteri
+      (fun i (st : Program_layout.stim) ->
+        pf "    v.(%d) <- stim_%d.(c); stamp.(%d) <- c;\n" st.st_net i st.st_net)
+      l.stims;
+    pf "    step ();\n";
+    List.iter
+      (fun (p : Program_layout.probe) ->
+        pf "    if stamp.(%d) = c then Printf.printf \"%%d %s %s\\n\" c v.(%d);\n"
+          p.pr_net p.pr_name
+          (match mode with Word -> "%d" | I64 -> "%Ld")
+          p.pr_net)
+      l.probes;
+    pf "  done\n");
+  ( Buffer.contents buf,
     {
       pm_version = emitter_version;
       pm_packed = (mode = Word);
-      pm_slots = max 1 a.next_slot;
-      pm_stamp_count = max 1 (List.length nets);
-      pm_statements = !n_statements;
-      pm_stims = stim_rows;
-      pm_probes = probe_rows;
-      pm_regs = reg_rows;
-      pm_comps = List.map (fun ct -> (ct.ct_name, ct.ct_states)) comp_texts;
-      pm_kernels = host_kernels;
-    }
-  in
-  (Buffer.contents buf, meta)
+      pm_slots = l.slots;
+      pm_stamp_count = n_stamps;
+      pm_statements = l.statements;
+      pm_stims =
+        List.map
+          (fun (st : Program_layout.stim) -> (st.st_name, st.st_net, st.st_net))
+          l.stims;
+      pm_probes =
+        List.map
+          (fun (p : Program_layout.probe) ->
+            (p.pr_name, p.pr_net, p.pr_net, p.pr_fmt))
+          l.probes;
+      pm_regs = l.regs;
+      pm_comps =
+        Array.to_list l.comps
+        |> List.map (fun (c : Program_layout.comp) ->
+               (c.c_name, Array.length c.c_by_state));
+      pm_kernels =
+        List.map
+          (fun (k : Program_layout.kernel) ->
+            ( k.k_name,
+              k.k_inputs,
+              List.map (fun (port, net) -> (port, net, net)) k.k_outputs ))
+          host_kernels;
+    } )
+
+let emit_plugin sys = render Plugin sys (Program_layout.of_system sys)
+
+let emit_ocaml sys ~cycles =
+  fst (render (Standalone cycles) sys (Program_layout.of_system sys))

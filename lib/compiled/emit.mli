@@ -2,27 +2,31 @@
     description can be regenerated to yield an application-specific and
     optimized compiled code simulator").
 
-    Two emitted shapes share one renderer:
+    One layout, two renderings: the program is the {!Program_layout.t}
+    that {!Compiled_sim} turns into closures; this module turns it into
+    text.  The text comes in two shapes that share everything but the
+    head and the tail:
 
-    - {!emit_ocaml} — a standalone program depending only on the
-      standard library, with recorded stimuli embedded as literals; it
-      prints one line per probe token so its behaviour can be diffed
-      against the in-process engines (the codegen demo and the
-      end-to-end tests do exactly that).
     - {!emit_plugin} — a library-shaped module for the native engine.
       It registers step/reset closures and its raw state arrays
-      through [Ocapi_native_abi] instead of defining [main]; stimuli,
-      probes and fault pokes stay on the host side of the ABI.  When
-      the emitter's width-bound analysis proves every intermediate
-      mantissa fits an unboxed 63-bit [int], the plugin is emitted
-      over native [int] words; otherwise it falls back to [int64]
-      cells, semantically identical on any width.  Untimed kernels
-      carrying a [Dataflow.Kernel.model] (RAM cells) are inlined as
-      array accesses instead of crossing the host boundary.
+      through [Ocapi_native_abi]; stimuli, probes and fault pokes stay
+      on the host side of the ABI.
+    - {!emit_ocaml} — a standalone program depending only on the
+      standard library, with recorded stimuli embedded as literals and
+      a main loop that prints one line per probe token, so its
+      behaviour can be diffed against the in-process engines (the
+      codegen demo and the end-to-end tests do exactly that).
+
+    When the emitter's width-bound analysis proves every intermediate
+    mantissa fits an unboxed 63-bit [int], the text is rendered over
+    native [int] words; otherwise over [int64] cells, semantically
+    identical on any width.  Untimed kernels carrying a
+    [Dataflow.Kernel.model] (RAM cells) are inlined as array accesses
+    in both shapes.
 
     Both raise [Compiled_types.Unsupported] on designs outside the
-    emitters' scope (e.g. untimed kernels without a model in
-    {!emit_ocaml}). *)
+    layout's scope, and {!emit_ocaml} also on untimed kernels without
+    a model (their behaviour is an opaque closure). *)
 
 val emitter_version : int
 (** Bumped whenever the emitted plugin text, the slot-layout contract
@@ -32,16 +36,17 @@ val emitter_version : int
 
 val emit_ocaml : Cycle_system.t -> cycles:int -> string
 (** [emit_ocaml sys ~cycles] renders [sys] as a self-contained OCaml
-    program that simulates exactly [cycles] cycles and prints
-    ["probe@cycle = value"] lines for every probe token.  Primary
-    inputs are sampled over the cycle range at emission time and
-    embedded as literals, so the text depends only on the standard
-    library. *)
+    program that simulates exactly [cycles] cycles and prints a
+    ["<cycle> <probe> <mantissa>"] line for every probe token.  Primary
+    inputs are sampled over the cycle range at emission time (every
+    cycle must produce a token) and embedded as literals, so the text
+    depends only on the standard library. *)
 
 (** What the native host needs to wire a compiled plugin into a
-    session, marshalled next to the [.cmxs] artifact: slot and stamp
-    indices for stimuli/probes/registers, FSM state counts, and the
-    port-to-slot maps of the untimed kernels left on the host side.
+    session, read off the layout and marshalled next to the [.cmxs]
+    artifact: slot and stamp indices for stimuli/probes/registers, FSM
+    state counts, and the port-to-slot maps of the untimed kernels left
+    on the host side.
     Slot indices address the plugin's value store; stamp indices its
     token-presence array.  [pm_kernels] lists only the kernels the
     emitter did {e not} inline, in [Cycle_system.untimed_components]
@@ -52,8 +57,9 @@ type plugin_meta = {
   pm_slots : int;  (** value-store length *)
   pm_stamp_count : int;  (** stamp-array length *)
   pm_statements : int;
-      (** generated statement count — the session's static size, the
-          Table 1 source-lines stand-in *)
+      (** {!Program_layout.t.statements} — the session's static size,
+          the Table 1 source-lines stand-in, equal to the compiled
+          engine's *)
   pm_stims : (string * int * int) list;
       (** primary input name, slot, stamp *)
   pm_probes : (string * int * int * Fixed.format) list;

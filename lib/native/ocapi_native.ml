@@ -147,18 +147,6 @@ let clear_disk_cache () =
           try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
       (Sys.readdir dir)
 
-(* Optional second tier: Flow.Cache's store, installed by the flow
-   layer so `--cache` runs keep .cmxs bytes next to history entries. *)
-let shared_find : (string -> (string * string) option) ref =
-  ref (fun _ -> None)
-
-let shared_store : (string -> string * string -> unit) ref =
-  ref (fun _ _ -> ())
-
-let set_shared_store ~find ~store =
-  shared_find := find;
-  shared_store := store
-
 let cache_key sys ~cmi =
   let cmi_digest =
     try Digest.to_hex (Digest.file (Filename.concat cmi abi_cmi))
@@ -183,7 +171,13 @@ let load_mutex = Mutex.create ()
 
 exception Fall of Ocapi_error.t
 
-let compile_cmxs ~cmi ~src ~out =
+(* Compile [src] as [<base>.ml] in a private scratch directory next to
+   the cache and publish only the source and the [.cmxs], each by an
+   atomic rename onto [<base>.ml] / [<base>.cmxs].  The compiler's
+   by-products (.cmi, .cmx, .o, the log) die with the scratch directory,
+   and a reader copying a cached [.cmxs] never sees one being written:
+   a concurrent cold compile of the same key replaces the file whole. *)
+let compile_cmxs ~cmi ~src ~base =
   let ocamlfind =
     match find_on_path "ocamlfind" with
     | Some p -> p
@@ -196,21 +190,39 @@ let compile_cmxs ~cmi ~src ~out =
          " -I " ^ Filename.quote native_objs
        else "")
   in
-  let log = out ^ ".log" in
-  let cmd =
-    Printf.sprintf "%s ocamlopt -shared -w -a %s %s -o %s > %s 2>&1"
-      (Filename.quote ocamlfind) incs (Filename.quote src)
-      (Filename.quote out) (Filename.quote log)
+  let scratch =
+    Filename.temp_dir ~temp_dir:(Filename.dirname base) ".ocapi_build_" ""
   in
-  let rc = Sys.command cmd in
-  if rc <> 0 then begin
-    let detail = try Ocapi_obs.read_whole_file log with _ -> "" in
-    let detail =
-      if String.length detail > 400 then String.sub detail 0 400 else detail
-    in
-    raise
-      (Fall (diag (Printf.sprintf "plugin compile failed (rc %d): %s" rc detail)))
-  end
+  let in_scratch ext = Filename.concat scratch (Filename.basename base ^ ext) in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun f ->
+          try Sys.remove (Filename.concat scratch f) with Sys_error _ -> ())
+        (try Sys.readdir scratch with Sys_error _ -> [||]);
+      try Sys.rmdir scratch with Sys_error _ -> ())
+    (fun () ->
+      Ocapi_obs.write_file_atomic ~path:(in_scratch ".ml") src;
+      let log = in_scratch ".log" in
+      let cmd =
+        Printf.sprintf "%s ocamlopt -shared -w -a %s %s -o %s > %s 2>&1"
+          (Filename.quote ocamlfind) incs
+          (Filename.quote (in_scratch ".ml"))
+          (Filename.quote (in_scratch ".cmxs"))
+          (Filename.quote log)
+      in
+      let rc = Sys.command cmd in
+      if rc <> 0 then begin
+        let detail = try Ocapi_obs.read_whole_file log with _ -> "" in
+        let detail =
+          if String.length detail > 400 then String.sub detail 0 400 else detail
+        in
+        raise
+          (Fall
+             (diag (Printf.sprintf "plugin compile failed (rc %d): %s" rc detail)))
+      end;
+      Sys.rename (in_scratch ".ml") (base ^ ".ml");
+      Sys.rename (in_scratch ".cmxs") (base ^ ".cmxs"))
 
 exception Bad_plugin
 
@@ -245,10 +257,10 @@ let read_meta path : Emit.plugin_meta option =
   | _ -> None
 
 (* Locate or build the (plugin, meta) pair for [sys]: disk artifact ->
-   Flow.Cache store -> fresh emission + compile.  Runs under the load
-   mutex.  Raises [Fall] on environmental failures (the caller degrades
-   to the interpreted program) and [Compiled_types.Unsupported] on
-   design-level rejections (shared verbatim with the compiled engine). *)
+   fresh emission + compile.  Runs under the load mutex.  Raises [Fall]
+   on environmental failures (the caller degrades to the interpreted
+   program) and [Compiled_types.Unsupported] on design-level rejections
+   (shared verbatim with the compiled engine). *)
 let obtain_plugin sys =
   let cmi =
     match cmi_dir () with
@@ -286,36 +298,17 @@ let obtain_plugin sys =
     end
     else None
   in
-  let from_store =
-    match from_disk with
-    | Some r -> Some r
-    | None -> begin
-      match !shared_find key with
-      | None -> None
-      | Some (cmxs_bytes, meta_bytes) -> (
-        Ocapi_obs.write_file_atomic ~path:cmxs cmxs_bytes;
-        Ocapi_obs.write_file_atomic ~path:metaf meta_bytes;
-        match try_load ~count_hit:true () with
-        | Some r -> Some r
-        | None ->
-          drop_corrupt ();
-          None)
-    end
-  in
-  match from_store with
+  match from_disk with
   | Some r -> r
   | None ->
     let t_compile = Ocapi_obs.span_begin () in
     let src, meta = Emit.emit_plugin sys in
-    Ocapi_obs.write_file_atomic ~path:(base ^ ".ml") src;
-    compile_cmxs ~cmi ~src:(base ^ ".ml") ~out:cmxs;
+    compile_cmxs ~cmi ~src ~base;
     Ocapi_obs.write_file_atomic ~path:metaf (Marshal.to_string (meta : Emit.plugin_meta) []);
     bump n_compiles "compiles";
     Ocapi_obs.span_end ~cat:"native"
       ~args:[ ("key", Ocapi_obs.Json.String key) ]
       "native.compile" t_compile;
-    (try !shared_store key (Ocapi_obs.read_whole_file cmxs, Ocapi_obs.read_whole_file metaf)
-     with _ -> ());
     (match try_load ~count_hit:false () with
     | Some r -> r
     | None -> raise (Fall (diag "freshly compiled plugin failed to load")))

@@ -28,13 +28,14 @@
       [ses_engine = "native"], so sweep artifacts stay byte-identical
       whether or not a toolchain is present.
 
-    Compiled artifacts ([.cmxs] plus a marshalled [Emit.plugin_meta]
-    sidecar) are cached on disk keyed by
+    Compiled artifacts are cached on disk keyed by
     [md5(Cycle_system.digest | Emit.emitter_version | Sys.ocaml_version
-    | ABI cmi digest)], so warm loads skip the compiler entirely; a
-    second tier in [Flow.Cache]'s store is wired up by the flow layer
-    via {!set_shared_store}.  Corrupt or stale artifacts are counted,
-    deleted and recompiled.  Every load goes through a throwaway copy
+    | ABI cmi digest)], so warm loads skip the compiler entirely.  Each
+    key owns exactly [ocapi_plugin_<key>.ml] (the emitted source),
+    [ocapi_plugin_<key>.cmxs] and [ocapi_plugin_<key>.meta] (a
+    marshalled [Emit.plugin_meta]); the compiler runs in a private
+    scratch directory and the artifacts are published by atomic rename.
+    Corrupt or stale artifacts are counted, deleted and recompiled.  Every load goes through a throwaway copy
     of the artifact under a unique path: the dynamic loader dedupes
     shared objects by pathname, so re-loading a cached [.cmxs] in
     place would hand concurrent sessions of the same design one shared
@@ -84,15 +85,6 @@ val stats : unit -> stats
 val reset_stats : unit -> unit
 
 (** {1 Cache wiring} *)
-
-(** Install the second-tier artifact store (the flow layer passes
-    [Flow.Cache]-backed hooks).  [find key] returns
-    [(cmxs_bytes, meta_bytes)]; [store key (cmxs_bytes, meta_bytes)]
-    persists a freshly compiled pair. *)
-val set_shared_store :
-  find:(string -> (string * string) option) ->
-  store:(string -> string * string -> unit) ->
-  unit
 
 (** Delete all plugin artifacts in the disk cache directory (used by
     benchmarks to measure cold-compile cost deterministically). *)

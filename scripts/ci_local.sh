@@ -25,6 +25,9 @@ fi
 stage "tests (dune runtest)"
 dune runtest
 
+stage "campaign benchmark self-test"
+python3 campaign_bench/run.py --self-test
+
 stage "determinism gate (serial vs --domains 2)"
 scripts/determinism_gate.sh
 

@@ -167,16 +167,20 @@ let compiler_on_path () =
   Sys.command "command -v ocamlfind >/dev/null 2>&1 || command -v ocamlopt >/dev/null 2>&1"
   = 0
 
-let test_emitted_simulator_end_to_end () =
+(* [check_emitted_simulator sys ~cycles] compiles the standalone
+   simulator of [sys] and checks that it prints exactly the interpreted
+   probe stream. *)
+let check_emitted_simulator sys ~cycles =
   if not (compiler_on_path ()) then Alcotest.skip ();
-  let sys = rich_system 21 in
-  let cycles = 25 in
   let interp = Flow.simulate sys ~cycles in
   Cycle_system.reset sys;
   let src = Compiled_sim.emit_ocaml sys ~cycles in
-  let dir = Filename.temp_file "ocapi_test" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
+  let dir = Filename.temp_dir "ocapi_test" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+  @@ fun () ->
   let ml = Filename.concat dir "sim.ml" in
   let oc = open_out ml in
   output_string oc src;
@@ -207,8 +211,45 @@ let test_emitted_simulator_end_to_end () =
       interp
     |> List.sort compare
   in
+  Alcotest.(check bool) "probe stream non-empty" true (expected <> []);
   Alcotest.(check (list string)) "emitted output matches" expected
     (List.sort compare lines)
+
+let test_emitted_simulator_end_to_end () =
+  check_emitted_simulator (rich_system 21) ~cycles:25
+
+(* The accumulator CPU's data memory is a RAM cell, an untimed kernel:
+   the standalone simulator inlines the cell's declared model. *)
+let test_emitted_simulator_ram () =
+  check_emitted_simulator
+    (Acc_cpu.create ~io_stimulus:(Acc_cpu.io_stimulus ()) ()).Acc_cpu.system
+    ~cycles:120
+
+(* A kernel without a declared model is an opaque closure: the plugin
+   calls back into the host for it, the standalone program cannot. *)
+let test_emitted_simulator_rejects_opaque_kernel () =
+  let kernel =
+    Dataflow.Kernel.create "double"
+      ~formats:[ ("in", s8); ("out", s8) ]
+      ~inputs:[ ("in", 1) ] ~outputs:[ ("out", 1) ]
+      (fun consumed ->
+        let v = List.hd (List.assoc "in" consumed) in
+        [ ("out", [ Fixed.resize s8 (Fixed.add v v) ]) ])
+  in
+  let sys = Cycle_system.create "opaque_kernel" in
+  let k = Cycle_system.add_untimed sys kernel in
+  let src =
+    Cycle_system.add_input sys "x" s8 (fun c -> Some (Fixed.of_int s8 (c mod 7)))
+  in
+  let p = Cycle_system.add_output sys "y" in
+  ignore (Cycle_system.connect sys (src, "out") [ (k, "in") ]);
+  ignore (Cycle_system.connect sys (k, "out") [ (p, "in") ]);
+  let _, meta = Emit.emit_plugin sys in
+  Alcotest.(check int) "plugin keeps the kernel on the host" 1
+    (List.length meta.Emit.pm_kernels);
+  match Compiled_sim.emit_ocaml sys ~cycles:4 with
+  | exception Compiled_sim.Unsupported _ -> ()
+  | _ -> Alcotest.fail "opaque kernel embedded in standalone source"
 
 let suite =
   [
@@ -222,6 +263,10 @@ let suite =
     Alcotest.test_case "rtl stats and size" `Quick test_rtl_stats_and_size;
     Alcotest.test_case "emitted simulator end-to-end" `Slow
       test_emitted_simulator_end_to_end;
+    Alcotest.test_case "emitted simulator end-to-end: ACC CPU (RAM cell)" `Slow
+      test_emitted_simulator_ram;
+    Alcotest.test_case "emitted simulator rejects opaque kernels" `Quick
+      test_emitted_simulator_rejects_opaque_kernel;
   ]
 
 (* Property: randomized expression DAGs (mux/logic/resize-heavy, with

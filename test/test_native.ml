@@ -211,6 +211,95 @@ let test_concurrent_sessions_are_private () =
             "session B unperturbed by A" true
             (ses_b.Ocapi_engine.ses_histories () = expected)))
 
+(* A cold compile publishes exactly the documented artifact set; the
+   compiler's by-products stay in its private scratch directory. *)
+let test_cold_compile_leaves_three_files () =
+  let sys = accum ~width:13 () in
+  if not (native_ok ()) then check_fallback_serves sys
+  else
+    with_fresh_native_cache (fun dir ->
+        ignore (run_session sys ~cycles:4);
+        let files = List.sort compare (Array.to_list (Sys.readdir dir)) in
+        Alcotest.(check int) "three files" 3 (List.length files);
+        let base = Filename.remove_extension (List.hd files) in
+        Alcotest.(check bool) "plugin prefix" true
+          (String.starts_with ~prefix:"ocapi_plugin_" base);
+        Alcotest.(check (list string))
+          "exactly .cmxs, .meta and .ml"
+          [ base ^ ".cmxs"; base ^ ".meta"; base ^ ".ml" ]
+          files)
+
+(* The native engine's artifact directory is the only store of plugin
+   bytes: a native run with [Flow.Cache] on writes history entries
+   there, never a copy of the plugin. *)
+let test_flow_cache_holds_no_plugins () =
+  let sys = accum ~width:14 () in
+  let flow_dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ocapi_native_flow_cache_%d" (Unix.getpid ()))
+  in
+  with_fresh_native_cache (fun _ ->
+      Flow.Cache.enable ~dir:flow_dir ();
+      Fun.protect
+        ~finally:(fun () ->
+          Flow.Cache.disable ();
+          Flow.Cache.clear ();
+          if Sys.file_exists flow_dir then begin
+            Array.iter
+              (fun f -> Sys.remove (Filename.concat flow_dir f))
+              (Sys.readdir flow_dir);
+            Unix.rmdir flow_dir
+          end)
+        (fun () ->
+          ignore (Flow.simulate ~engine:"native" sys ~cycles:8);
+          let entries = Array.to_list (Sys.readdir flow_dir) in
+          Alcotest.(check bool) "history entry written" true (entries <> []);
+          Alcotest.(check (list string))
+            "no cmxs entry" []
+            (List.filter
+               (fun f -> String.starts_with ~prefix:"v1-cmxs-" f)
+               entries)))
+
+(* One static size per program: the native session (plugin metadata)
+   and the compiled session (closure program) count the same layout,
+   whether or not a toolchain is present. *)
+let test_static_size_agrees () =
+  let hcor =
+    let bits = Dect_stimuli.burst ~seed:1 () in
+    let samples =
+      Dect_stimuli.quantize Hcor.sample_format
+        (Array.map (fun x -> x /. 2.0) (Dect_stimuli.transmit bits))
+    in
+    (Hcor.create ~stimulus:(Hcor.sample_stimulus samples) ()).Hcor.system
+  in
+  let dect =
+    (Dect_transceiver.create
+       ~stimulus:(fun _ -> Some (Fixed.zero Dect_transceiver.sample_format))
+       ())
+      .Dect_transceiver.system
+  in
+  let rs =
+    (Rs_codec.create ~data_stimulus:(Rs_codec.data_stimulus ())
+       ~err_stimulus:(Rs_codec.err_stimulus ()) ())
+      .Rs_codec.system
+  in
+  let cpu =
+    (Acc_cpu.create ~io_stimulus:(Acc_cpu.io_stimulus ()) ()).Acc_cpu.system
+  in
+  let static_size engine sys =
+    let module E = (val Ocapi_engine.get engine) in
+    let ses = E.make sys in
+    Fun.protect ~finally:ses.Ocapi_engine.ses_close (fun () ->
+        ses.Ocapi_engine.ses_static_size)
+  in
+  List.iter
+    (fun (name, sys) ->
+      let compiled = static_size "compiled" sys in
+      Alcotest.(check bool) (name ^ " has a static size") true (compiled <> None);
+      Alcotest.(check (option int)) name compiled (static_size "native" sys))
+    [ ("hcor", hcor); ("dect", dect); ("rs", rs); ("cpu", cpu) ]
+
 (* --- unavailability -------------------------------------------------------- *)
 
 let test_disabled_is_structured_and_serves_fallback () =
@@ -242,4 +331,10 @@ let suite =
       test_concurrent_sessions_are_private;
     Alcotest.test_case "disabled: structured error, fallback serves" `Quick
       test_disabled_is_structured_and_serves_fallback;
+    Alcotest.test_case "cold compile leaves .ml, .cmxs and .meta only" `Quick
+      test_cold_compile_leaves_three_files;
+    Alcotest.test_case "Flow.Cache holds no plugin bytes" `Quick
+      test_flow_cache_holds_no_plugins;
+    Alcotest.test_case "native and compiled report one static size" `Slow
+      test_static_size_agrees;
   ]

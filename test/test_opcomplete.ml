@@ -165,44 +165,7 @@ let test_vhdl_markers () =
     ]
 
 let test_emitted_simulator () =
-  (* Skipped on toolchain-less hosts, same rationale as the engines
-     suite's end-to-end emitted-simulator test. *)
-  if
-    Sys.command
-      "command -v ocamlfind >/dev/null 2>&1 || command -v ocamlopt >/dev/null 2>&1"
-    <> 0
-  then Alcotest.skip ();
-  let sys = build () in
-  let cycles = 40 in
-  let interp = Flow.simulate sys ~cycles in
-  Cycle_system.reset sys;
-  let src = Compiled_sim.emit_ocaml sys ~cycles in
-  let dir = Filename.temp_file "ocapi_oc" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  let ml = Filename.concat dir "sim.ml" in
-  let oc = open_out ml in
-  output_string oc src;
-  close_out oc;
-  let exe = Filename.concat dir "sim.exe" in
-  let rc =
-    Sys.command
-      (Printf.sprintf "ocamlopt %s -o %s >/dev/null 2>&1 || ocamlfind ocamlopt %s -o %s >/dev/null 2>&1" ml exe ml exe)
-  in
-  if rc <> 0 then Alcotest.fail "emitted op-complete simulator failed to compile";
-  let ic = Unix.open_process_in exe in
-  let count = ref 0 in
-  (try
-     while true do
-       ignore (input_line ic);
-       incr count
-     done
-   with End_of_file -> ());
-  ignore (Unix.close_process_in ic);
-  let expected =
-    List.fold_left (fun acc (_, h) -> acc + List.length h) 0 interp
-  in
-  Alcotest.(check int) "token count" expected !count
+  Test_engines.check_emitted_simulator (build ()) ~cycles:40
 
 let suite =
   [
